@@ -158,13 +158,13 @@ def audit(doc: dict, expected: dict) -> list:
     return problems
 
 
-def measure(workload: str, seed: int, seconds: float, trace: bool,
-            started: float) -> dict:
+def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """Run ``workload`` repeatedly; returns the runs and the failures.
 
     Every run's outputs must equal the stored reference for this seed,
     or the first run's when the seed has none.
     """
+    started = time.perf_counter()
     expected = load_reference().get(workload, {}).get(str(seed))
     docs, traced, failed, attempted = [], None, 0, 0
     last = 0.0
@@ -266,9 +266,7 @@ def main(argv=None) -> int:
     attempted = failed = 0
     metrics = {}
     for workload in workloads:
-        started = time.perf_counter()
-        res = measure(workload, args.seed, args.seconds, bool(args.trace),
-                      started)
+        res = measure(workload, args.seed, args.seconds, bool(args.trace))
         attempted += res["attempted"]
         failed += res["failed"]
         if not res["docs"] or (args.trace and res["traced"] is None):
