@@ -5,8 +5,8 @@ PR 8 put two hooks into the kernel's batch-dispatch loop: one
 path) and a run-length-folded wall-clock attribution path when a
 :class:`~repro.obs.CallbackProfiler` is enabled.  This bench prices
 both against the drain scenario of ``bench_kernel`` (the PR 7
-headline shape: a tick storm at the head of a huge armed-decoy mass),
-on both queue backends:
+headline shape: a tick storm at the head of a huge armed-decoy mass)
+on the kernel's heap queue:
 
 ``reference``
     The pre-hook dispatch loop, reconstructed verbatim in a
@@ -22,8 +22,8 @@ on both queue backends:
     A live :class:`CallbackProfiler`.  Acceptance: < 25% slower than
     ``reference`` (< 50% at ci scale).  The run-length fold is what
     makes this possible: ``perf_counter`` costs ~120ns on commodity
-    hardware while the calendar drain dispatches every ~350ns, so
-    per-event clocking would alone blow the budget.
+    hardware while the drain dispatches an event every ~0.8us, so
+    per-event clocking would alone eat most of the budget.
 
 Measurement methodology — shared machines are *hostile* to a 2%
 claim, so three defenses stack:
@@ -149,10 +149,10 @@ def _noop(_ev):
     pass
 
 
-def run_drain(queue, sim_cls=Simulator, profiler=None):
+def run_drain(sim_cls=Simulator, profiler=None):
     """The bench_kernel drain shape: pre-armed tick storm over a decoy
     mass, measured from the first pop."""
-    sim = sim_cls(queue=queue)
+    sim = sim_cls()
     if profiler is not None:
         profiler.reset()
         profiler.install(sim)
@@ -175,14 +175,14 @@ def run_drain(queue, sim_cls=Simulator, profiler=None):
     return {"wall_s": wall, "events": fired[0], "final_now": sim.now}
 
 
-def measure(queue):
+def measure():
     """Rotated-order, best-of-``ROUNDS`` walls for the three modes
     (see the module docstring for why rotation + minima)."""
     profiler = CallbackProfiler()
     modes = [
-        ("reference", lambda: run_drain(queue, sim_cls=_Pr7Simulator)),
-        ("null", lambda: run_drain(queue)),
-        ("enabled", lambda: run_drain(queue, profiler=profiler)),
+        ("reference", lambda: run_drain(sim_cls=_Pr7Simulator)),
+        ("null", lambda: run_drain()),
+        ("enabled", lambda: run_drain(profiler=profiler)),
     ]
     walls = {name: [] for name, _ in modes}
     shape = {}
@@ -209,33 +209,20 @@ def measure(queue):
 
 
 def test_profiler_overhead(benchmark):
-    results = {}
-    snapshots = {}
-    for backend in ("heap", "calendar"):
-        if backend == "calendar":
-            measured = benchmark.pedantic(measure, args=(backend,),
-                                          rounds=1, iterations=1)
-        else:
-            measured = measure(backend)
-        results[backend], profiler = measured
-        snapshots[backend] = profiler.snapshot()
+    r, profiler = benchmark.pedantic(measure, rounds=1, iterations=1)
+    snap = profiler.snapshot()
 
-    rows = []
-    for backend, r in results.items():
-        rows.append((backend,
-                     fmt(r["wall_s"]["reference"], 3),
-                     fmt(r["wall_s"]["null"], 3),
-                     fmt(r["wall_s"]["enabled"], 3),
-                     f"{r['overhead_null_pct']:+.1%}",
-                     f"{r['overhead_enabled_pct']:+.1%}"))
     print_table(
         f"PROFILER OVERHEAD on drain ({N_DECOYS} decoys, "
         f"{N_TICKERS} tickers x {N_TICKS} ticks, best of {ROUNDS})",
-        ["backend", "ref wall (s)", "null wall (s)", "prof wall (s)",
+        ["ref wall (s)", "null wall (s)", "prof wall (s)",
          "null ovh", "prof ovh"],
-        rows)
+        [(fmt(r["wall_s"]["reference"], 3),
+          fmt(r["wall_s"]["null"], 3),
+          fmt(r["wall_s"]["enabled"], 3),
+          f"{r['overhead_null_pct']:+.1%}",
+          f"{r['overhead_enabled_pct']:+.1%}")])
 
-    snap = snapshots["calendar"]
     out = {
         "config": {
             "scale": "ci" if CI_SCALE else "full",
@@ -246,13 +233,11 @@ def test_profiler_overhead(benchmark):
             "max_null_overhead": MAX_NULL_OVERHEAD,
             "max_enabled_overhead": MAX_ENABLED_OVERHEAD,
         },
-        "backends": results,
+        "backends": {"heap": r},
         "headline": {
-            "overhead_null_pct": results["calendar"]["overhead_null_pct"],
-            "overhead_enabled_pct":
-                results["calendar"]["overhead_enabled_pct"],
-            "enabled_events_per_sec":
-                results["calendar"]["events_per_sec"]["enabled"],
+            "overhead_null_pct": r["overhead_null_pct"],
+            "overhead_enabled_pct": r["overhead_enabled_pct"],
+            "enabled_events_per_sec": r["events_per_sec"]["enabled"],
         },
         "profile": {
             "top_sites": [s.to_dict() for s in snap.sites[:10]],
@@ -266,10 +251,9 @@ def test_profiler_overhead(benchmark):
 
     # Acceptance: the null hook is invisible, the enabled profiler stays
     # inside its budget, and the profiler saw every dispatched tick.
-    for backend, r in results.items():
-        assert r["overhead_null_pct"] < MAX_NULL_OVERHEAD, (backend, r)
-        assert r["overhead_enabled_pct"] < MAX_ENABLED_OVERHEAD, (backend, r)
-    assert snap.events >= results["calendar"]["events"]
+    assert r["overhead_null_pct"] < MAX_NULL_OVERHEAD, r
+    assert r["overhead_enabled_pct"] < MAX_ENABLED_OVERHEAD, r
+    assert snap.events >= r["events"]
 
 
 if __name__ == "__main__":

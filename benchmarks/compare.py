@@ -44,7 +44,7 @@ Usage::
     python benchmarks/compare.py                  # all known artifacts
     python benchmarks/compare.py kernel profile   # a subset
     python benchmarks/compare.py --report perf_report.md
-    python benchmarks/compare.py --inject kernel:headline.calendar_events_per_sec:0.3
+    python benchmarks/compare.py --inject kernel:headline.heap_events_per_sec:0.3
 """
 
 from __future__ import annotations
@@ -62,18 +62,14 @@ BASELINES = HERE / "baselines"
 #: kinds: higher | lower | abs-lower | exact  (see module docstring).
 METRICS = {
     "kernel": [
-        ("headline.calendar_events_per_sec", "higher", 0.25, 0.60),
-        ("headline.speedup_calendar_vs_heap", "higher", 0.30, 0.60),
-        ("headline.vectorized_events_per_sec", "higher", 0.25, 0.60),
-        ("scenarios.drain.calendar.events", "exact", 0, 0),
+        ("headline.heap_events_per_sec", "higher", 0.25, 0.60),
         ("scenarios.drain.heap.events", "exact", 0, 0),
-        ("scenarios.cancel.calendar.events", "exact", 0, 0),
+        ("scenarios.cancel.heap.events", "exact", 0, 0),
     ],
     "profile": [
         ("headline.overhead_null_pct", "abs-lower", 0.05, 0.15),
         ("headline.overhead_enabled_pct", "abs-lower", 0.10, 0.30),
         ("headline.enabled_events_per_sec", "higher", 0.30, 0.60),
-        ("backends.calendar.events", "exact", 0, 0),
         ("backends.heap.events", "exact", 0, 0),
     ],
     "flows": [

@@ -484,9 +484,16 @@ class FlowScheduler:
         else:
             self._settle(self._active)
         if flow.remaining > EPSILON * max(1.0, flow.size):
-            # Numerical drift: rearm.
-            self._schedule_completion(flow)
-            return
+            now = self.sim.now
+            if flow.rate <= 0 or now + flow.remaining / flow.rate > now:
+                # Numerical drift: rearm.
+                self._schedule_completion(flow)
+                return
+            # The clock cannot resolve the leftover's delay: a re-arm
+            # would fire at this same instant forever.  Bill it and
+            # finish now.
+            if self.billing is not None:
+                self.billing.record(flow.src, flow.dst, flow.remaining)
         flow.remaining = 0.0
         self._active.discard(flow)
         latency = sum(l.latency for l in flow.path)

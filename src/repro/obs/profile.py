@@ -23,11 +23,9 @@ infrastructure; this one watches the simulator itself.  Three pieces:
 
 :class:`KernelStats` / :func:`kernel_stats`
     A point-in-time kernel-health snapshot — queue depth, dead-entry
-    ratio, compaction count, calendar bucket occupancy, TimerBank
-    occupancy, dispatch/batch/preemption counters — and
+    ratio, compaction count, dispatch/batch/preemption counters — and
     :func:`install_kernel_gauges` to stream the same signals into
-    watchtower as labeled series.  This is the input signal for the
-    roadmap's adaptive bucket-width follow-up.
+    watchtower as labeled series.
 
 Flame export
     :meth:`ProfileSnapshot.to_collapsed` and :func:`spans_to_collapsed`
@@ -45,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..simkernel.core import NULL_PROFILER
@@ -208,7 +206,7 @@ class CallbackProfiler:
     ::
 
         prof = CallbackProfiler()
-        sim = Simulator(queue="calendar", profiler=prof)
+        sim = Simulator(profiler=prof)
         ...run the scenario...
         snap = prof.snapshot()
         print(snap.format())
@@ -390,127 +388,60 @@ class KernelStats:
     batches_dispatched: int
     max_batch: int
     preemptions: int
-    #: Calendar-only bucket shape (``None`` on other backends).
-    bucket_width: Optional[float] = None
-    buckets: Optional[int] = None
-    max_bucket: Optional[int] = None
-    mean_bucket: Optional[float] = None
-    #: Raw per-day occupancy (``kernel_stats(..., occupancy=True)``).
-    bucket_occupancy: Optional[Dict[int, int]] = None
-    timer_banks: List[dict] = field(default_factory=list)
-
-    @property
-    def timers_pending(self) -> int:
-        return sum(b["pending"] for b in self.timer_banks)
 
     def to_dict(self) -> dict:
-        doc = {
-            "now": self.now,
-            "backend": self.backend,
-            "queue_depth": self.queue_depth,
-            "dead_entries": self.dead_entries,
-            "dead_ratio": self.dead_ratio,
-            "compactions": self.compactions,
-            "events_dispatched": self.events_dispatched,
-            "batches_dispatched": self.batches_dispatched,
-            "max_batch": self.max_batch,
-            "preemptions": self.preemptions,
-            "timer_banks": list(self.timer_banks),
-            "timers_pending": self.timers_pending,
-        }
-        if self.bucket_width is not None:
-            doc["bucket_width"] = self.bucket_width
-            doc["buckets"] = self.buckets
-            doc["max_bucket"] = self.max_bucket
-            doc["mean_bucket"] = self.mean_bucket
-        if self.bucket_occupancy is not None:
-            doc["bucket_occupancy"] = {
-                str(day): n for day, n in sorted(self.bucket_occupancy.items())
-            }
-        return doc
+        return asdict(self)
 
 
-def kernel_stats(sim, occupancy: bool = False) -> KernelStats:
-    """Snapshot the kernel's health: queue shape, dead entries,
-    compactions, dispatch counters and TimerBank occupancy.
-
-    ``occupancy=True`` additionally includes the calendar backend's raw
-    per-day bucket histogram (the head-density signal the adaptive
-    bucket-width follow-up consumes); it is opt-in because the dict can
-    hold one entry per live day."""
+def kernel_stats(sim) -> KernelStats:
+    """Snapshot the kernel's health: queue depth, dead entries,
+    compactions and dispatch counters."""
     queue = sim.queue_backend
     depth = len(queue)
-    dead = getattr(queue, "dead", 0)
-    stats = queue.stats() if hasattr(queue, "stats") else {}
-    banks = []
-    for ref in getattr(sim, "_timer_banks", ()):
-        bank = ref()
-        if bank is not None:
-            banks.append(bank.stats())
-    raw = None
-    if occupancy and hasattr(queue, "bucket_occupancy"):
-        raw = queue.bucket_occupancy()
+    dead = queue.dead
     return KernelStats(
         now=sim.now,
-        backend=getattr(queue, "name", type(queue).__name__),
+        backend=queue.name,
         queue_depth=depth,
         dead_entries=dead,
         dead_ratio=(dead / depth) if depth else 0.0,
-        compactions=getattr(queue, "compactions", 0),
+        compactions=queue.compactions,
         events_dispatched=sim._n_events,
         batches_dispatched=sim._n_batches,
         max_batch=sim._max_batch,
         preemptions=sim._n_preemptions,
-        bucket_width=stats.get("bucket_width"),
-        buckets=stats.get("buckets"),
-        max_bucket=stats.get("max_bucket"),
-        mean_bucket=stats.get("mean_bucket"),
-        bucket_occupancy=raw,
-        timer_banks=banks,
     )
 
 
 def install_kernel_gauges(sim, metrics, interval: float = 1.0,
-                          vectorized: bool = False,
                           max_points: Optional[int] = None) -> list:
     """Stream kernel health into watchtower as labeled series.
 
     Starts periodic probes (every ``interval`` simulated seconds)
     feeding ``kernel.queue.depth{backend=...}``,
     ``kernel.queue.dead_ratio``, ``kernel.queue.compactions``,
-    ``kernel.events.dispatched``, ``kernel.batch.max``,
-    ``kernel.preemptions`` and ``kernel.timerbank.pending`` — the same
-    signals :func:`kernel_stats` snapshots, but as dashboard/SLO-ready
-    time series.  ``max_points`` ring-bounds each backing series so
-    week-long runs do not grow them without limit.  Returns the probes
-    (stop them to quiesce)."""
+    ``kernel.events.dispatched``, ``kernel.batch.max`` and
+    ``kernel.preemptions`` — the same signals :func:`kernel_stats`
+    snapshots, but as dashboard/SLO-ready time series.  ``max_points``
+    ring-bounds each backing series so week-long runs do not grow them
+    without limit.  Returns the probes (stop them to quiesce)."""
     queue = sim.queue_backend
-    labels = {"backend": getattr(queue, "name", type(queue).__name__)}
+    labels = {"backend": queue.name}
 
     def dead_ratio() -> float:
         depth = len(queue)
-        return (getattr(queue, "dead", 0) / depth) if depth else 0.0
-
-    def timers_pending() -> float:
-        total = 0
-        for ref in getattr(sim, "_timer_banks", ()):
-            bank = ref()
-            if bank is not None:
-                total += len(bank)
-        return float(total)
+        return (queue.dead / depth) if depth else 0.0
 
     samplers = [
         ("kernel.queue.depth", lambda: float(len(queue))),
         ("kernel.queue.dead_ratio", dead_ratio),
-        ("kernel.queue.compactions",
-         lambda: float(getattr(queue, "compactions", 0))),
+        ("kernel.queue.compactions", lambda: float(queue.compactions)),
         ("kernel.events.dispatched", lambda: float(sim._n_events)),
         ("kernel.batch.max", lambda: float(sim._max_batch)),
         ("kernel.preemptions", lambda: float(sim._n_preemptions)),
-        ("kernel.timerbank.pending", timers_pending),
     ]
     return [metrics.probe(labeled_name(name, labels), fn, interval,
-                          vectorized=vectorized, max_points=max_points)
+                          max_points=max_points)
             for name, fn in samplers]
 
 

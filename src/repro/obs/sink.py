@@ -33,8 +33,7 @@ the scale tier:
       the baseline uniform sample.
 
     Every input is a pure function of the simulation, so same-seed
-    runs emit **byte-identical** sampled span logs, on any queue
-    backend.
+    runs emit **byte-identical** sampled span logs.
 """
 
 from __future__ import annotations

@@ -208,7 +208,8 @@ class _TraceBuffer:
     __slots__ = ("open_spans", "finished", "decision")
 
     def __init__(self):
-        self.open_spans: List[Span] = []
+        #: span_id -> span, in start order (O(1) removal on end).
+        self.open_spans: Dict[int, Span] = {}
         self.finished: List[Span] = []
         self.decision: Optional[bool] = None
 
@@ -303,7 +304,7 @@ class Tracer:
         buf = self._by_trace.get(trace_id)
         if buf is None:
             buf = self._by_trace[trace_id] = _TraceBuffer()
-        buf.open_spans.append(span)
+        buf.open_spans[span_id] = span
         return span
 
     #: Alias so ``with tracer.span("phase"):`` reads well.
@@ -318,10 +319,7 @@ class Tracer:
         if buf is None:  # trace already fully closed; re-buffer
             buf = self._by_trace[span.trace_id] = _TraceBuffer()
         else:
-            try:
-                buf.open_spans.remove(span)
-            except ValueError:
-                pass
+            buf.open_spans.pop(span.span_id, None)
         if buf.decision is None:
             buf.finished.append(span)
             if span.span_id == span.trace_id:  # the root: decide now
@@ -387,7 +385,7 @@ class Tracer:
         for buf in self._by_trace.values():
             yield from buf.finished
         for buf in self._by_trace.values():
-            yield from buf.open_spans
+            yield from buf.open_spans.values()
 
     def resident_count(self) -> int:
         """Finished + pending + open spans currently held in memory

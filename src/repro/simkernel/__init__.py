@@ -20,7 +20,7 @@ from .events import (
     URGENT,
 )
 from .process import Process
-from .queues import BACKENDS, CalendarQueue, HeapQueue, make_queue
+from .queues import HeapQueue
 from .resources import (
     Container,
     FilterStore,
@@ -32,13 +32,9 @@ from .resources import (
     Store,
 )
 
-from .vectime import TimerBank, TimerHandle
-
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BACKENDS",
-    "CalendarQueue",
     "Condition",
     "ConditionValue",
     "Container",
@@ -61,8 +57,5 @@ __all__ = [
     "Store",
     "StopSimulation",
     "Timeout",
-    "TimerBank",
-    "TimerHandle",
     "URGENT",
-    "make_queue",
 ]

@@ -7,7 +7,7 @@ from typing import Any, Generator, Optional, Union
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import AllOf, AnyOf, Event, NORMAL, Timeout, URGENT
 from .process import Process
-from .queues import make_queue
+from .queues import HeapQueue
 
 Infinity = float("inf")
 
@@ -47,8 +47,9 @@ NULL_PROFILER = _NullProfiler()
 class Simulator:
     """A discrete-event simulator with a floating-point clock.
 
-    The simulator owns an event queue ordered by ``(time, priority,
-    sequence)``.  Simulation entities are generator-based
+    The simulator owns an event queue (a
+    :class:`~repro.simkernel.queues.HeapQueue`) ordered by ``(time,
+    priority, sequence)``.  Simulation entities are generator-based
     :class:`~repro.simkernel.process.Process` objects created with
     :meth:`process`; they advance time by yielding :meth:`timeout` events
     and coordinate by yielding arbitrary events.
@@ -57,13 +58,6 @@ class Simulator:
     ----------
     initial_time:
         Where the clock starts.
-    queue:
-        Event-queue backend: ``"heap"`` (default, the reference binary
-        heap), ``"calendar"`` (bucketed calendar tuned for
-        timer-dominated runs), or a pre-built backend instance from
-        :mod:`repro.simkernel.queues`.  Every backend delivers events
-        in the identical total order, so same-seed runs are
-        byte-identical regardless of backend.
     profiler:
         A callback-site profiler (see
         :class:`~repro.obs.profile.CallbackProfiler`) attributing
@@ -85,10 +79,9 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(self, initial_time: float = 0.0, queue=None,
-                 profiler=None):
+    def __init__(self, initial_time: float = 0.0, profiler=None):
         self._now = float(initial_time)
-        self._queue = make_queue(queue)
+        self._queue = HeapQueue()
         self._seq = 0
         self._active_proc: Optional[Process] = None
         # Batch-preemption tracking: a push can only sort before the
@@ -105,9 +98,6 @@ class Simulator:
         self._n_batches = 0
         self._n_preemptions = 0
         self._max_batch = 0
-        #: Weakrefs to TimerBanks riding this kernel (vectime registers
-        #: itself here so KernelStats can report bank occupancy).
-        self._timer_banks: list = []
 
     # -- clock & introspection ------------------------------------------
 
@@ -123,7 +113,7 @@ class Simulator:
 
     @property
     def queue_backend(self):
-        """The event-queue backend instance (read-only introspection)."""
+        """The event queue instance (read-only introspection)."""
         return self._queue
 
     @property
@@ -177,9 +167,9 @@ class Simulator:
 
         Cheaper than a :class:`Timeout` plus a manual
         ``callbacks.append`` and far cheaper than a process for
-        fire-and-forget timers (flow completions, batched recomputes,
-        timer-bank wake-ups).  The returned event supports
-        :meth:`Event.deschedule` for lazy cancellation.
+        fire-and-forget timers (flow completions, batched recomputes).
+        The returned event supports :meth:`Event.deschedule` for lazy
+        cancellation.
         """
         event = Event(self)
         event._ok = True
@@ -220,7 +210,7 @@ class Simulator:
         """Pop the next live entry, dropping stale (descheduled) entries
         exactly once on the way — the single skip loop shared by
         :meth:`step` and batch dispatch (peek prunes through the same
-        backend path)."""
+        queue path)."""
         entry = self._queue.pop()
         if entry is None:
             raise EmptySchedule("event queue is empty")
@@ -344,10 +334,10 @@ class Simulator:
 
         Notes
         -----
-        The run loop dispatches events in **batches**: one backend pop
+        The run loop dispatches events in **batches**: one queue pop
         lifts the whole run of events sharing the head's ``(time,
         priority)``, so a coalesced storm (URGENT flow recomputes, tick-
-        aligned timers) stops paying one heap percolation per event.
+        aligned timers) is dispatched from one contiguous list.
         Dispatch order is exactly the per-event order — if a callback
         schedules something that must run *before* the rest of the
         batch (an URGENT event at the current instant), the remainder
@@ -437,7 +427,7 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (f"<Simulator now={self._now} queued={len(self._queue)} "
-                f"backend={getattr(self._queue, 'name', '?')}>")
+                f"backend={self._queue.name}>")
 
 
 def _stop_simulation(event: Event) -> None:

@@ -58,7 +58,7 @@ class Event:
         deadline was superseded (e.g. flow-completion estimates).
 
         Cancellation is lazy — the queue entry stays put until it
-        surfaces — but the queue backend is notified so it can compact
+        surfaces — but the queue is notified so it can compact
         once dead entries dominate.
         """
         if not self._descheduled:

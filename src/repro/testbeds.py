@@ -81,8 +81,7 @@ def sky_testbed(sites: Optional[Sequence[SiteSpec]] = None,
                 image_blocks: int = 65536,
                 memory_pages: int = 16384,
                 seed: int = 42,
-                use_shrinker: bool = True,
-                queue=None) -> Testbed:
+                use_shrinker: bool = True) -> Testbed:
     """Build a federated multi-cloud testbed.
 
     Parameters
@@ -96,17 +95,13 @@ def sky_testbed(sites: Optional[Sequence[SiteSpec]] = None,
     image_blocks, memory_pages:
         Size of the shared ``debian`` image (4 KiB blocks) and default
         instance memory.
-    queue:
-        Kernel queue backend spec forwarded to :class:`Simulator`
-        (``None`` for the reference heap, ``"calendar"`` for the
-        bucketed backend, or a backend instance).
     """
     sites = list(sites if sites is not None else PAPER_SITES)
     if not sites:
         raise ValueError("a testbed needs at least one site")
     trans_bw = (transatlantic_bandwidth if transatlantic_bandwidth is not None
                 else wan_bandwidth / 2)
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     topology = Topology()
     billing = BillingMeter()
     scheduler = FlowScheduler(sim, topology, billing=billing)

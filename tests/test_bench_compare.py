@@ -19,14 +19,11 @@ def _payload(events_per_sec=3e6, scale="full"):
                  "python": "3.12.0", "platform": "linux-x",
                  "implementation": "cpython", "git_sha": "abc123def456"},
         "headline": {
-            "calendar_events_per_sec": events_per_sec,
-            "speedup_calendar_vs_heap": 4.0,
-            "vectorized_events_per_sec": 1e8,
+            "heap_events_per_sec": events_per_sec,
         },
         "scenarios": {
-            "drain": {"calendar": {"events": 50_000},
-                      "heap": {"events": 50_000}},
-            "cancel": {"calendar": {"events": 12_000}},
+            "drain": {"heap": {"events": 50_000}},
+            "cancel": {"heap": {"events": 12_000}},
         },
     }
 
@@ -78,7 +75,7 @@ def test_exact_metric_mismatch_fails(gate_dirs, capsys):
     artifacts, baselines, write = gate_dirs
     write(baselines, "BENCH_kernel.json", _payload())
     drifted = _payload()
-    drifted["scenarios"]["drain"]["calendar"]["events"] = 49_999
+    drifted["scenarios"]["drain"]["heap"]["events"] = 49_999
     write(artifacts, "BENCH_kernel.json", drifted)
     assert _run(artifacts, baselines) == 1
     assert "determinism contract" in capsys.readouterr().out
@@ -89,7 +86,7 @@ def test_injected_regression_trips_the_gate(gate_dirs):
     write(artifacts, "BENCH_kernel.json", _payload())
     write(baselines, "BENCH_kernel.json", _payload())
     assert _run(artifacts, baselines, "--inject",
-                "kernel:headline.calendar_events_per_sec:0.3") == 1
+                "kernel:headline.heap_events_per_sec:0.3") == 1
     # ...and an injection that misses its target is itself a failure.
     assert _run(artifacts, baselines, "--inject",
                 "kernel:headline.no_such_metric:0.3") == 1
@@ -137,7 +134,7 @@ def test_report_file_written(gate_dirs, tmp_path):
     assert _run(artifacts, baselines, "--report", str(report)) == 0
     text = report.read_text(encoding="utf-8")
     assert text.startswith("# Perf trend report")
-    assert "`headline.calendar_events_per_sec`" in text
+    assert "`headline.heap_events_per_sec`" in text
 
 
 def test_env_drift_is_noted(gate_dirs, capsys):

@@ -246,3 +246,28 @@ def test_taps_receive_flow_records():
     assert rec.tag == "migration"
     assert rec.meta["src_vm"] == "vm1"
     assert rec.duration == pytest.approx(1.0)
+
+
+def test_completion_past_2048s_does_not_livelock():
+    # Past 2048 simulated seconds the clock's spacing exceeds 4e-13 s.
+    # This flow's completion timer fires with a remainder just above the
+    # drift tolerance, and that remainder's re-arm delay is absorbed by
+    # the clock: the flow must finish at that instant, not re-fire there.
+    start, bw, size = 2048.0, 1e9, 1003.33
+    fire = start + size / bw
+    remainder = size - bw * (fire - start)
+    assert 1e-9 * size < remainder < 2e-9 * size
+    assert fire + remainder / bw == fire
+
+    sim = Simulator(initial_time=start)
+    meter = BillingMeter()
+    sched = FlowScheduler(sim, two_sites(bw=bw), billing=meter)
+    flow = sched.start_flow("a", "b", size=size)
+    for _ in range(20):
+        if flow.done.processed:
+            break
+        sim.step()
+    assert flow.done.processed
+    assert flow.finished_at == fire
+    assert flow.remaining == 0.0
+    assert meter.egress_bytes["a"] == pytest.approx(size, rel=1e-12)

@@ -20,7 +20,7 @@ from repro.obs import (
     validate_speedscope,
 )
 from repro.obs.dashboard import dashboard_payload, render_html
-from repro.simkernel import Simulator, TimerBank
+from repro.simkernel import Simulator
 from repro.simkernel.events import URGENT
 
 
@@ -80,7 +80,7 @@ def test_same_callback_runs_merge_into_one_site():
     # The run-length fold must not double-count: 500 consecutive
     # dispatches of one closure are still 500 events at one site.
     prof = CallbackProfiler()
-    sim = Simulator(queue="calendar", profiler=prof)
+    sim = Simulator(profiler=prof)
     for _ in range(500):
         sim.call_in(1.0, _tick)
     sim.run()
@@ -105,7 +105,7 @@ def test_by_subsystem_and_format():
 
 
 def _traced_scenario(profiler=None):
-    sim = Simulator(queue="calendar", profiler=profiler)
+    sim = Simulator(profiler=profiler)
     tracer = Tracer(sim).install()
     timeline = []
 
@@ -206,7 +206,7 @@ def test_null_path_reads_one_attribute_per_batch_and_none_per_event():
 
 def test_batch_histogram_buckets_by_size():
     prof = CallbackProfiler()
-    sim = Simulator(queue="calendar", profiler=prof)
+    sim = Simulator(profiler=prof)
     for _ in range(8):
         sim.call_in(1.0, _tick)   # one batch of 8
     sim.call_in(2.0, _tock)       # one batch of 1
@@ -279,62 +279,38 @@ def test_tap_obs_meters_tracer_and_metrics_and_untaps():
 
 def test_kernel_stats_heap_counters():
     sim = Simulator()
-    for t in range(1, 6):
-        for _ in range(4):
-            sim.call_in(float(t), _tick)
+    events = [sim.call_in(float(t), _tick)
+              for t in range(1, 6) for _ in range(4)]
+    for ev in events[:5]:
+        ev.deschedule()
+    ks = kernel_stats(sim)
+    assert ks.dead_entries == 5
+    assert ks.dead_ratio == pytest.approx(0.25)
     sim.run()
     ks = kernel_stats(sim)
     assert ks.backend == "heap"
-    assert ks.events_dispatched >= 20
-    assert ks.batches_dispatched >= 5
+    assert ks.events_dispatched >= 15
+    assert ks.batches_dispatched >= 4
     assert ks.max_batch >= 4
     assert ks.queue_depth == 0 and ks.dead_ratio == 0.0
-    assert ks.bucket_width is None
-    doc = ks.to_dict()
-    assert doc["timers_pending"] == 0
-    assert "bucket_width" not in doc
-
-
-def test_kernel_stats_calendar_shape_and_occupancy():
-    sim = Simulator(queue="calendar")
-    events = [sim.call_in(float(t), _tick) for t in range(1, 51)]
-    for ev in events[:10]:
-        ev.deschedule()
-    ks = kernel_stats(sim, occupancy=True)
-    assert ks.backend == "calendar"
-    assert ks.bucket_width is not None and ks.buckets >= 1
-    assert ks.dead_entries == 10
-    assert 0.0 < ks.dead_ratio < 1.0
-    assert ks.bucket_occupancy and sum(ks.bucket_occupancy.values()) >= 40
-    doc = ks.to_dict()
-    assert all(isinstance(k, str) for k in doc["bucket_occupancy"])
-    # occupancy is opt-in
-    assert kernel_stats(sim).bucket_occupancy is None
-
-
-def test_kernel_stats_sees_timer_banks():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    import numpy as np
-
-    bank.arm_array(np.array([5.0, 6.0, 7.0]), lambda idx, now: None)
-    ks = kernel_stats(sim)
-    assert ks.timers_pending == 3
-    assert ks.timer_banks[0]["pending"] == 3
+    assert set(ks.to_dict()) == {
+        "now", "backend", "queue_depth", "dead_entries", "dead_ratio",
+        "compactions", "events_dispatched", "batches_dispatched",
+        "max_batch", "preemptions"}
 
 
 def test_install_kernel_gauges_streams_labeled_series():
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     metrics = MetricsRecorder(sim)
     probes = install_kernel_gauges(sim, metrics, interval=1.0)
-    assert len(probes) == 7
+    assert len(probes) == 6
     for t in range(1, 6):
         sim.call_in(float(t), _tick)
     sim.run(until=5.5)
     names = [n for n in metrics._series if n.startswith("kernel.")]
-    assert any(n == "kernel.queue.depth{backend=calendar}" for n in names)
+    assert any(n == "kernel.queue.depth{backend=heap}" for n in names)
     assert any(n.startswith("kernel.events.dispatched") for n in names)
-    dispatched = metrics.get("kernel.events.dispatched{backend=calendar}")
+    dispatched = metrics.get("kernel.events.dispatched{backend=heap}")
     assert dispatched.last() > 0
 
 

@@ -1,60 +1,18 @@
-"""Queue backends, batch dispatch, and the vectorized timer fast path.
+"""The kernel's event queue and batch dispatch.
 
-The core contract under test: every queue backend delivers events in
-the identical ``(time, priority, seq)`` total order, so a simulation is
-byte-for-byte reproducible regardless of backend.  Hypothesis drives
-randomized schedules (same-time FIFO ties, URGENT/NORMAL mixes,
-descheduled subsets) through both backends and requires identical
-dispatch orders; a traced flow scenario requires byte-identical span
-JSONL across backends.
+The core contract under test: :class:`HeapQueue` delivers events in the
+``(time, priority, seq)`` total order, so a simulation is byte-for-byte
+reproducible.  Hypothesis drives randomized schedules (same-time FIFO
+ties, URGENT/NORMAL mixes, float delays, descheduled subsets, enough
+cancellations to compact) through the simulator and requires the
+dispatch order of a ``sorted()`` oracle over the live entries.
 """
-
-import json
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network import FlowScheduler, Site, Topology
-from repro.obs import Tracer
-from repro.simkernel import (
-    BACKENDS,
-    CalendarQueue,
-    EmptySchedule,
-    HeapQueue,
-    NORMAL,
-    Simulator,
-    StopSimulation,
-    TimerBank,
-    URGENT,
-    make_queue,
-)
+from repro.simkernel import EmptySchedule, NORMAL, Simulator, URGENT
 from repro.simkernel.queues import COMPACT_MIN
-
-
-# ---------------------------------------------------------------------------
-# Backend selection / construction
-# ---------------------------------------------------------------------------
-
-def test_backend_registry_and_specs():
-    assert isinstance(make_queue(None), HeapQueue)
-    assert isinstance(make_queue("heap"), HeapQueue)
-    assert isinstance(make_queue("calendar"), CalendarQueue)
-    custom = CalendarQueue(bucket_width=0.25)
-    assert make_queue(custom) is custom
-    assert set(BACKENDS) == {"heap", "calendar"}
-    with pytest.raises(ValueError, match="unknown queue backend"):
-        make_queue("ladder")
-    with pytest.raises(ValueError):
-        CalendarQueue(bucket_width=0.0)
-
-
-def test_simulator_accepts_backend_specs():
-    assert isinstance(Simulator().queue_backend, HeapQueue)
-    assert isinstance(Simulator(queue="calendar").queue_backend,
-                      CalendarQueue)
-    q = CalendarQueue(bucket_width=10.0)
-    assert Simulator(queue=q).queue_backend is q
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +38,18 @@ def test_timeout_rejects_nan_delay():
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence (hypothesis)
+# Total order against a sorted() oracle (hypothesis)
 # ---------------------------------------------------------------------------
 
-def _dispatch_order(backend, schedule):
-    """Run one randomized schedule; return the observed dispatch log.
+def _dispatch_order(schedule):
+    """Run one randomized schedule; return the observed dispatch log
+    and the simulator.
 
     ``schedule`` is a list of ``(delay, priority, cancel)`` tuples; all
     events are armed up front (so seq order is fixed), then the marked
     subset is descheduled before running.
     """
-    sim = Simulator(queue=backend)
+    sim = Simulator()
     log = []
     armed = []
     for i, (delay, priority, cancel) in enumerate(schedule):
@@ -101,84 +60,71 @@ def _dispatch_order(backend, schedule):
         if cancel:
             event.deschedule()
     sim.run()
-    return log, sim.now
+    return log, sim
 
+
+DELAYS = st.one_of(
+    # Coarse delays force plenty of exact same-time ties...
+    st.integers(min_value=0, max_value=8).map(lambda n: n * 0.5),
+    # ...arbitrary floats exercise every other comparison.
+    st.floats(min_value=0, max_value=1e3,
+              allow_nan=False, allow_infinity=False),
+)
 
 SCHEDULE = st.lists(
-    st.tuples(
-        # Coarse delays force plenty of exact same-time ties.
-        st.integers(min_value=0, max_value=8).map(lambda n: n * 0.5),
-        st.sampled_from([URGENT, NORMAL]),
-        st.booleans(),
-    ),
+    st.tuples(DELAYS, st.sampled_from([URGENT, NORMAL]), st.booleans()),
     min_size=1, max_size=60,
 )
 
 
-@given(schedule=SCHEDULE)
-@settings(max_examples=120, deadline=None)
-def test_backends_dispatch_identically(schedule):
-    heap_log, heap_now = _dispatch_order("heap", schedule)
-    cal_log, cal_now = _dispatch_order("calendar", schedule)
-    assert heap_log == cal_log
-    assert heap_now == cal_now
-    # And the order is the specified total order: (time, priority, seq),
-    # with descheduled events absent.
-    expected = [
+def _assert_matches_oracle(schedule):
+    log, sim = _dispatch_order(schedule)
+    # The specified total order: the live (time, priority, seq) entries,
+    # sorted; descheduled events are absent.
+    expected = sorted(
         (delay, priority, i)
         for i, (delay, priority, cancel) in enumerate(schedule)
         if not cancel
-    ]
-    expected.sort()
-    assert [i for _, _, i in expected] == [i for _, i in heap_log]
+    )
+    assert log == [(delay, i) for delay, _, i in expected]
+    assert sim.now == (expected[-1][0] if expected else 0.0)
+    return sim.queue_backend
 
 
-@given(schedule=SCHEDULE, width=st.sampled_from([0.1, 0.5, 1.0, 7.0]))
-@settings(max_examples=60, deadline=None)
-def test_calendar_order_is_width_independent(schedule, width):
-    base_log, base_now = _dispatch_order("heap", schedule)
-    cal_log, cal_now = _dispatch_order(CalendarQueue(bucket_width=width),
-                                       schedule)
-    assert cal_log == base_log
-    assert cal_now == base_now
+@given(schedule=SCHEDULE)
+@settings(max_examples=120, deadline=None)
+def test_heap_dispatch_matches_sorted_oracle(schedule):
+    _assert_matches_oracle(schedule)
 
 
-@given(
-    delays=st.lists(st.floats(min_value=0, max_value=1e3,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=40),
-)
-@settings(max_examples=60, deadline=None)
-def test_backends_agree_on_float_delays(delays):
-    """Arbitrary float times (bucket-boundary hazards included)."""
-    schedule = [(d, NORMAL, False) for d in delays]
-    heap_log, _ = _dispatch_order("heap", schedule)
-    cal_log, _ = _dispatch_order("calendar", schedule)
-    assert heap_log == cal_log
+@given(schedule=SCHEDULE)
+@settings(max_examples=20, deadline=None)
+def test_heap_dispatch_matches_sorted_oracle_through_compaction(schedule):
+    """The schedule tiled past the compaction floor with 70% of it
+    cancelled: the heap compacts mid-cancellation and must still
+    deliver the oracle's order."""
+    tiles = COMPACT_MIN * 2 // len(schedule) + 1
+    big = [(delay, priority, i % 10 < 7)
+           for i, (delay, priority, _) in enumerate(schedule * tiles)]
+    assert _assert_matches_oracle(big).compactions >= 1
 
 
-def test_mid_batch_urgent_preemption_matches_across_backends():
+def test_mid_batch_urgent_preemption():
     """A NORMAL batch member scheduling an URGENT event at the same
-    instant must yield to it before the batch remainder, identically on
-    both backends."""
-    def run(backend):
-        sim = Simulator(queue=backend)
-        log = []
+    instant must yield to it before the batch remainder."""
+    sim = Simulator()
+    log = []
 
-        def first(_ev):
-            log.append("first")
-            sim.call_in(0.0, lambda _e: log.append("urgent"),
-                        priority=URGENT)
+    def first(_ev):
+        log.append("first")
+        sim.call_in(0.0, lambda _e: log.append("urgent"),
+                    priority=URGENT)
 
-        sim.call_in(1.0, first)
-        sim.call_in(1.0, lambda _e: log.append("second"))
-        sim.call_in(1.0, lambda _e: log.append("third"))
-        sim.run()
-        return log
-
-    heap_log = run("heap")
-    assert heap_log == ["first", "urgent", "second", "third"]
-    assert run("calendar") == heap_log
+    sim.call_in(1.0, first)
+    sim.call_in(1.0, lambda _e: log.append("second"))
+    sim.call_in(1.0, lambda _e: log.append("third"))
+    sim.run()
+    assert log == ["first", "urgent", "second", "third"]
 
 
 def test_tiny_delay_urgent_preempts_at_large_clock():
@@ -187,377 +133,103 @@ def test_tiny_delay_urgent_preempts_at_large_clock():
     exactly like delay == 0.0 does."""
     base = float(2 ** 33)  # +1.0 is exact here, +1e-9 is absorbed
     assert base + 1e-9 == base
-    for backend in BACKENDS:
-        sim = Simulator(initial_time=base - 1.0, queue=backend)
-        log = []
+    sim = Simulator(initial_time=base - 1.0)
+    log = []
 
-        def first(_ev):
-            log.append("first")
-            sim.call_in(1e-9, lambda _e: log.append("urgent"),
-                        priority=URGENT)
+    def first(_ev):
+        log.append("first")
+        sim.call_in(1e-9, lambda _e: log.append("urgent"),
+                    priority=URGENT)
 
-        sim.call_in(1.0, first)
-        sim.call_in(1.0, lambda _e: log.append("second"))
-        sim.run()
-        assert log == ["first", "urgent", "second"], backend
+    sim.call_in(1.0, first)
+    sim.call_in(1.0, lambda _e: log.append("second"))
+    sim.run()
+    assert log == ["first", "urgent", "second"]
 
 
 def test_batch_member_descheduled_by_earlier_member():
     """An event cancelled by an earlier same-batch callback never runs."""
-    for backend in BACKENDS:
-        sim = Simulator(queue=backend)
-        log = []
-        second = sim.call_in(1.0, lambda _e: log.append("second"))
-        sim.call_in(0.0, lambda _e: second.deschedule(), priority=URGENT)
-        sim.call_in(1.0, lambda _e: log.append("third"))
-        sim.run()
-        assert log == ["third"], backend
+    sim = Simulator()
+    log = []
+    second = sim.call_in(1.0, lambda _e: log.append("second"))
+    sim.call_in(0.0, lambda _e: second.deschedule(), priority=URGENT)
+    sim.call_in(1.0, lambda _e: log.append("third"))
+    sim.run()
+    assert log == ["third"]
 
 
 def test_stop_simulation_mid_batch_preserves_remainder():
     """StopSimulation raised mid-batch must not lose the rest of the
     batch: a continuation run dispatches it."""
-    for backend in BACKENDS:
-        sim = Simulator(queue=backend)
-        log = []
-        sim.call_in(1.0, lambda _e: log.append("a"))
-        sim.call_in(1.0, lambda _e: sim.stop("halt"))
-        sim.call_in(1.0, lambda _e: log.append("b"))
-        sim.call_in(1.0, lambda _e: log.append("c"))
-        assert sim.run() == "halt"
-        # run() dispatched a, then the stopper aborted the batch; the
-        # undispatched remainder survives for the continuation run.
-        assert log == ["a"], backend
-        sim.run()
-        assert log == ["a", "b", "c"], backend
+    sim = Simulator()
+    log = []
+    sim.call_in(1.0, lambda _e: log.append("a"))
+    sim.call_in(1.0, lambda _e: sim.stop("halt"))
+    sim.call_in(1.0, lambda _e: log.append("b"))
+    sim.call_in(1.0, lambda _e: log.append("c"))
+    assert sim.run() == "halt"
+    # run() dispatched a, then the stopper aborted the batch; the
+    # undispatched remainder survives for the continuation run.
+    assert log == ["a"]
+    sim.run()
+    assert log == ["a", "b", "c"]
 
 
 def test_run_until_batch_respects_stop_boundary():
-    for backend in BACKENDS:
-        sim = Simulator(queue=backend)
-        log = []
-        for _ in range(5):
-            sim.call_in(2.0, lambda _e: log.append(sim.now))
-        sim.run(until=2.0)  # events at exactly t=2 are not processed
-        assert log == [] and sim.now == 2.0
-        sim.run()
-        assert len(log) == 5
+    sim = Simulator()
+    log = []
+    for _ in range(5):
+        sim.call_in(2.0, lambda _e: log.append(sim.now))
+    sim.run(until=2.0)  # events at exactly t=2 are not processed
+    assert log == [] and sim.now == 2.0
+    sim.run()
+    assert len(log) == 5
 
 
 # ---------------------------------------------------------------------------
 # Lazy cancellation + compaction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_compaction_drops_dead_entries(backend):
-    sim = Simulator(queue=backend)
+def test_compaction_drops_dead_entries():
+    sim = Simulator()
     n = COMPACT_MIN * 2
     events = [sim.call_in(float(i % 97) + 1.0, lambda _e: None)
               for i in range(n)]
     q = sim.queue_backend
     assert len(q) == n
-    # Deschedule >50%: the backend must compact below the dead mass.
+    # Deschedule >50%: the queue must compact below the dead mass.
     for ev in events[: (n * 3) // 4]:
         ev.deschedule()
     assert len(q) <= n - (n * 3) // 4 + COMPACT_MIN
-    fired = []
     sim.run()
-    assert len(fired) == 0  # callbacks above record nothing
     assert len(q) == 0
 
 
-def test_calendar_prunes_dead_prefix_below_compaction_threshold():
-    """A large dead prefix concentrated in one bucket is pruned without
-    compaction (size below COMPACT_MIN) and the live tail survives."""
-    sim = Simulator(queue=CalendarQueue(bucket_width=1e9))
-    n = COMPACT_MIN - 112  # whole queue stays below the compaction floor
-    events = [sim.call_in(float(i), lambda _e: None) for i in range(n)]
-    log = []
-    sim.call_in(float(n), lambda _e: log.append(sim.now))
-    for ev in events:
-        ev.deschedule()
-    assert sim.peek() == float(n)
-    sim.run()
-    assert log == [float(n)]
-    assert len(sim.queue_backend) == 0
+def test_deschedule_is_invisible_to_peek():
+    sim = Simulator()
+    early = sim.call_in(1.0, lambda _e: None)
+    sim.call_in(5.0, lambda _e: None)
+    assert sim.peek() == 1.0
+    early.deschedule()
+    assert sim.peek() == 5.0
 
 
-def test_deschedule_is_invisible_to_peek_across_backends():
-    for backend in BACKENDS:
-        sim = Simulator(queue=backend)
-        early = sim.call_in(1.0, lambda _e: None)
-        sim.call_in(5.0, lambda _e: None)
-        assert sim.peek() == 1.0
-        early.deschedule()
-        assert sim.peek() == 5.0, backend
-
-
-def test_empty_calendar_raises_empty_schedule():
-    sim = Simulator(queue="calendar")
+def test_empty_queue_raises_empty_schedule():
+    sim = Simulator()
     with pytest.raises(EmptySchedule):
         sim.step()
 
 
 # ---------------------------------------------------------------------------
-# TimerBank (vectorized fast path)
+# Health introspection: stats(), compactions
 # ---------------------------------------------------------------------------
 
-def test_timerbank_single_timers_fire_in_arm_order():
+def test_stats_snapshot_tracks_depth_and_dead():
     sim = Simulator()
-    bank = TimerBank(sim, initial_capacity=2)  # force growth
-    log = []
-    for i in range(10):
-        bank.arm(5.0, lambda now, i=i: log.append((now, i)))
-    assert len(bank) == 10
-    sim.run()
-    assert log == [(5.0, i) for i in range(10)]
-    assert len(bank) == 0
-
-
-def test_timerbank_cancel_and_handle_reuse():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    log = []
-    keep = bank.arm(1.0, lambda now: log.append("keep"))
-    drop = bank.arm(1.0, lambda now: log.append("drop"))
-    drop.cancel()
-    drop.cancel()  # idempotent
-    assert keep.active and not drop.active
-    # The freed slot is reused; the stale handle must not cancel it.
-    bank.arm(2.0, lambda now: log.append("reused"))
-    drop.cancel()
-    sim.run()
-    assert log == ["keep", "reused"]
-
-
-def test_timerbank_rejects_bad_delays():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    for bad in (float("nan"), float("inf"), -1.0):
-        with pytest.raises(ValueError):
-            bank.arm(bad, lambda now: None)
-    with pytest.raises(ValueError):
-        bank.arm_array([1.0, float("nan")], lambda idx, now: None)
-    with pytest.raises(ValueError):
-        bank.arm_array([], lambda idx, now: None)
-
-
-def test_timerbank_group_drains_by_deadline():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    seen = []
-    # Deliberately unsorted, with ties: index order must be ascending
-    # within one instant.
-    bank.arm_array([3.0, 1.0, 3.0, 2.0],
-                   lambda idx, now: seen.append((now, list(idx))))
-    sim.run()
-    assert seen == [(1.0, [1]), (2.0, [3]), (3.0, [0, 2])]
-
-
-def test_timerbank_group_cancel():
-    sim = Simulator()
-    bank = TimerBank(sim)
-    seen = []
-    handle = bank.arm_array([1.0, 2.0], lambda idx, now: seen.extend(idx))
-    handle.cancel()
-    assert not handle.active
-    sim.run()
-    assert seen == []
-
-
-def test_timerbank_rearm_during_drain():
-    """A callback arming a new earlier timer mid-drain re-aims the
-    sentinel correctly."""
-    sim = Simulator()
-    bank = TimerBank(sim)
-    log = []
-
-    def first(now):
-        log.append(("first", now))
-        bank.arm(0.5, lambda n: log.append(("nested", n)))
-
-    bank.arm(1.0, first)
-    bank.arm(4.0, lambda n: log.append(("last", n)))
-    sim.run()
-    assert log == [("first", 1.0), ("nested", 1.5), ("last", 4.0)]
-
-
-def test_timerbank_codue_callback_cancels_codue_timer():
-    """A co-due callback cancelling a timer due at the same instant must
-    suppress it — not crash the drain or double-free the slot."""
-    sim = Simulator()
-    bank = TimerBank(sim)
-    log = []
-    handles = {}
-
-    def first(now):
-        log.append("first")
-        handles["second"].cancel()
-
-    bank.arm(1.0, first)
-    handles["second"] = bank.arm(1.0, lambda now: log.append("second"))
-    sim.run()
-    assert log == ["first"]
-    assert len(bank) == 0
-
-
-def test_timerbank_rearm_recycles_cancelled_codue_slot():
-    """A re-arm during a drain may claim a slot freed by a co-due
-    cancellation; the new timer must fire at its own deadline, not be
-    swept up (or cleared) by the in-progress drain."""
-    sim = Simulator()
-    bank = TimerBank(sim, initial_capacity=2)
-    log = []
-    handles = {}
-
-    def first(now):
-        log.append(("first", now))
-        handles["second"].cancel()
-        bank.arm(1.0, lambda n: log.append(("rearmed", n)))
-
-    bank.arm(1.0, first)
-    handles["second"] = bank.arm(1.0, lambda now: log.append(("second", now)))
-    sim.run()
-    assert log == [("first", 1.0), ("rearmed", 2.0)]
-    assert len(bank) == 0
-
-
-def test_timerbank_matches_plain_timeouts():
-    """The bank fires at exactly the same simulated times as individual
-    timeouts for the same delays."""
-    delays = [0.25, 1.0, 1.0, 2.75, 3.0]
-
-    def plain():
-        sim = Simulator()
-        log = []
-        for i, d in enumerate(delays):
-            sim.call_in(d, lambda _e, i=i: log.append((sim.now, i)))
-        sim.run()
-        return log
-
-    def banked():
-        sim = Simulator()
-        bank = TimerBank(sim)
-        log = []
-        for i, d in enumerate(delays):
-            bank.arm(d, lambda now, i=i: log.append((now, i)))
-        sim.run()
-        return log
-
-    assert plain() == banked()
-
-
-# ---------------------------------------------------------------------------
-# Byte-identical traces across backends
-# ---------------------------------------------------------------------------
-
-def _traced_flow_run(backend):
-    """A small traced multi-flow scenario; returns the span JSONL."""
-    sim = Simulator(queue=backend)
-    tracer = Tracer(sim, seed=1).install()
-    topo = Topology()
-    for name in ("a", "b", "c"):
-        topo.add_site(Site(name))
-    topo.connect("a", "b", bandwidth=1e6, latency=0.01)
-    topo.connect("b", "c", bandwidth=5e5, latency=0.02)
-    sched = FlowScheduler(sim, topo)
-    from repro.network.transport import Transport
-    transport = Transport.of(sched)
-
-    def driver():
-        root = tracer.start("run")
-        f1 = transport.data("a", "b", 3e5, span=root)
-        f2 = transport.data("a", "c", 4e5, span=root)
-        yield sim.timeout(0.1)
-        f3 = transport.migration("b", "c", 2e5, span=root)
-        yield f1.done & f2.done & f3.done
-        root.end()
-
-    sim.process(driver())
-    sim.run()
-    return tracer.to_jsonl()
-
-
-def test_same_seed_traces_byte_identical_across_backends():
-    heap_jsonl = _traced_flow_run("heap")
-    cal_jsonl = _traced_flow_run("calendar")
-    assert heap_jsonl == cal_jsonl
-    # Sanity: the log is non-trivial and well-formed.
-    lines = [json.loads(l) for l in heap_jsonl.strip().splitlines()]
-    assert len(lines) >= 4
-    assert all(math.isfinite(s["start"]) for s in lines)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized call sites (probes, spot prices) match the plain paths
-# ---------------------------------------------------------------------------
-
-def test_vectorized_probe_matches_plain():
-    from repro.metrics import MetricsRecorder
-
-    def run(vectorized):
-        sim = Simulator()
-        metrics = MetricsRecorder(sim)
-        tick = {"n": 0}
-
-        def sample():
-            tick["n"] += 1
-            return tick["n"]
-
-        probe = metrics.probe("ticks", sample, interval=1.0,
-                              vectorized=vectorized)
-        sim.run(until=5.5)
-        probe.stop()
-        sim.run()
-        return metrics.series("ticks").samples
-
-    assert run(False) == run(True)
-
-
-def test_vectorized_probe_stop_restart():
-    from repro.metrics import MetricsRecorder
-    sim = Simulator()
-    metrics = MetricsRecorder(sim)
-    probe = metrics.probe("x", lambda: 1.0, interval=1.0, vectorized=True)
-    sim.run(until=2.5)
-    probe.stop()
-    probe.stop()  # idempotent
-    sim.run(until=5.0)
-    assert len(metrics.series("x").samples) == 2
-    probe.restart()
-    sim.run(until=6.5)
-    assert len(metrics.series("x").samples) == 3
-
-
-def test_vectorized_spot_prices_match_plain():
-    import numpy as np
-    from repro.workloads.traces import SpotPriceProcess, spot_price_trace
-
-    times, prices = spot_price_trace(np.random.default_rng(3),
-                                     duration=3600.0, tick=60.0)
-
-    def run(vectorized):
-        sim = Simulator()
-        proc = SpotPriceProcess(sim, times, prices, vectorized=vectorized)
-        changes = []
-        proc.subscribe(lambda p: changes.append((sim.now, p)))
-        sim.run(until=3600.0)
-        return ([(pt.time, pt.price) for pt in proc.history], changes)
-
-    assert run(False) == run(True)
-
-
-# ---------------------------------------------------------------------------
-# Health introspection: stats(), compactions, bucket occupancy
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_stats_snapshot_tracks_depth_and_dead(backend):
-    sim = Simulator(queue=backend)
     events = [sim.call_in(float(t), lambda _ev: None)
               for t in range(1, 21)]
     stats = sim.queue_backend.stats()
-    assert stats["backend"] == backend
+    assert stats["backend"] == "heap"
     assert stats["depth"] == 20
     assert stats["dead"] == 0 and stats["dead_ratio"] == 0.0
     for ev in events[:5]:
@@ -569,9 +241,8 @@ def test_stats_snapshot_tracks_depth_and_dead(backend):
     assert sim.queue_backend.stats()["depth"] == 0
 
 
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_compaction_counter_increments_past_threshold(backend):
-    sim = Simulator(queue=backend)
+def test_compaction_counter_increments_past_threshold():
+    sim = Simulator()
     events = [sim.call_in(1.0 + t * 0.01, lambda _ev: None)
               for t in range(COMPACT_MIN * 2)]
     queue = sim.queue_backend
@@ -583,20 +254,3 @@ def test_compaction_counter_increments_past_threshold(backend):
     stats = queue.stats()
     assert stats["compactions"] == queue.compactions
     assert stats["depth"] == 0 and stats["dead"] == 0
-
-
-def test_calendar_stats_and_occupancy_describe_buckets():
-    queue = CalendarQueue(bucket_width=1.0)
-    sim = Simulator(queue=queue)
-    for t in range(10):
-        for _ in range(3):
-            sim.call_in(0.5 + float(t), lambda _ev: None)
-    stats = queue.stats()
-    assert stats["bucket_width"] == 1.0
-    assert stats["buckets"] == 10
-    assert stats["max_bucket"] == 3
-    assert stats["mean_bucket"] == pytest.approx(3.0)
-    occupancy = queue.bucket_occupancy()
-    assert len(occupancy) == 10
-    assert all(n == 3 for n in occupancy.values())
-    assert sum(occupancy.values()) == stats["depth"]
