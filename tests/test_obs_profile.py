@@ -279,24 +279,36 @@ def test_tap_obs_meters_tracer_and_metrics_and_untaps():
 
 def test_kernel_stats_heap_counters():
     sim = Simulator()
-    events = [sim.call_in(float(t), _tick)
-              for t in range(1, 6) for _ in range(4)]
-    for ev in events[:5]:
-        ev.deschedule()
-    ks = kernel_stats(sim)
-    assert ks.dead_entries == 5
-    assert ks.dead_ratio == pytest.approx(0.25)
+    for t in range(1, 6):
+        for _ in range(4):
+            sim.call_in(float(t), _tick)
     sim.run()
     ks = kernel_stats(sim)
     assert ks.backend == "heap"
-    assert ks.events_dispatched >= 15
-    assert ks.batches_dispatched >= 4
+    assert ks.events_dispatched >= 20
+    assert ks.batches_dispatched >= 5
     assert ks.max_batch >= 4
     assert ks.queue_depth == 0 and ks.dead_ratio == 0.0
+
+
+def test_kernel_stats_calendar_shape_and_occupancy():
+    """The snapshot has the heap's shape only (no calendar bucket or
+    timer-bank fields, no ``occupancy=`` switch) and reports the queue's
+    occupancy through its depth and dead entries."""
+    sim = Simulator()
+    events = [sim.call_in(float(t), _tick) for t in range(1, 51)]
+    for ev in events[:10]:
+        ev.deschedule()
+    ks = kernel_stats(sim)
+    assert ks.queue_depth == 50
+    assert ks.dead_entries == 10
+    assert ks.dead_ratio == pytest.approx(0.2)
     assert set(ks.to_dict()) == {
         "now", "backend", "queue_depth", "dead_entries", "dead_ratio",
         "compactions", "events_dispatched", "batches_dispatched",
         "max_batch", "preemptions"}
+    with pytest.raises(TypeError):
+        kernel_stats(sim, occupancy=True)
 
 
 def test_install_kernel_gauges_streams_labeled_series():

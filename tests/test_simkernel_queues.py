@@ -5,7 +5,8 @@ The core contract under test: :class:`HeapQueue` delivers events in the
 reproducible.  Hypothesis drives randomized schedules (same-time FIFO
 ties, URGENT/NORMAL mixes, float delays, descheduled subsets, enough
 cancellations to compact) through the simulator and requires the
-dispatch order of a ``sorted()`` oracle over the live entries.
+dispatch order of a ``sorted()`` oracle over the live entries -- the
+reference backend the heap must agree with.
 """
 
 import pytest
@@ -63,18 +64,22 @@ def _dispatch_order(schedule):
     return log, sim
 
 
-DELAYS = st.one_of(
-    # Coarse delays force plenty of exact same-time ties...
-    st.integers(min_value=0, max_value=8).map(lambda n: n * 0.5),
-    # ...arbitrary floats exercise every other comparison.
-    st.floats(min_value=0, max_value=1e3,
-              allow_nan=False, allow_infinity=False),
-)
+# Coarse delays force plenty of exact same-time ties...
+TIED_DELAYS = st.integers(min_value=0, max_value=8).map(lambda n: n * 0.5)
+# ...arbitrary floats exercise every other comparison.
+FLOAT_DELAYS = st.floats(min_value=0, max_value=1e3,
+                         allow_nan=False, allow_infinity=False)
 
-SCHEDULE = st.lists(
-    st.tuples(DELAYS, st.sampled_from([URGENT, NORMAL]), st.booleans()),
-    min_size=1, max_size=60,
-)
+
+def _schedules(delays):
+    return st.lists(
+        st.tuples(delays, st.sampled_from([URGENT, NORMAL]), st.booleans()),
+        min_size=1, max_size=60,
+    )
+
+
+SCHEDULE = _schedules(TIED_DELAYS)
+FLOAT_SCHEDULE = _schedules(FLOAT_DELAYS)
 
 
 def _assert_matches_oracle(schedule):
@@ -93,11 +98,21 @@ def _assert_matches_oracle(schedule):
 
 @given(schedule=SCHEDULE)
 @settings(max_examples=120, deadline=None)
-def test_heap_dispatch_matches_sorted_oracle(schedule):
+def test_backends_dispatch_identically(schedule):
+    """The heap and the sorted() reference agree on same-time ties,
+    URGENT/NORMAL mixes and descheduled subsets."""
     _assert_matches_oracle(schedule)
 
 
-@given(schedule=SCHEDULE)
+@given(schedule=FLOAT_SCHEDULE)
+@settings(max_examples=60, deadline=None)
+def test_backends_agree_on_float_delays(schedule):
+    """Arbitrary float times: the heap and the sorted() reference still
+    agree."""
+    _assert_matches_oracle(schedule)
+
+
+@given(schedule=st.one_of(SCHEDULE, FLOAT_SCHEDULE))
 @settings(max_examples=20, deadline=None)
 def test_heap_dispatch_matches_sorted_oracle_through_compaction(schedule):
     """The schedule tiled past the compaction floor with 70% of it
