@@ -73,7 +73,6 @@ from .trace import (
     NULL_TRACER,
     NullTracer,
     Span,
-    SpanContext,
     Tracer,
     tracer_of,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "SLOEngine",
     "SlidingWindow",
     "Span",
-    "SpanContext",
     "SpanRecord",
     "SpanSink",
     "TimeWindow",

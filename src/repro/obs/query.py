@@ -186,8 +186,9 @@ def explain(alert, metrics, tracer=None, eventlog=None,
     ``metrics`` is the :class:`~repro.metrics.MetricsRecorder` the SLO
     engine evaluated (its simulator anchors discovery); ``tracer`` and
     ``eventlog`` default to whatever is installed on that simulator.
-    Works with classic and streaming tracers alike — span collection is
-    one :meth:`~repro.obs.trace.Tracer.iter_spans` pass.
+    Span collection is one :meth:`~repro.obs.trace.Tracer.iter_spans`
+    pass, whether the tracer archives to a sink or keeps every span in
+    memory.
     """
     from .profile import kernel_stats
 
@@ -223,7 +224,7 @@ def explain(alert, metrics, tracer=None, eventlog=None,
             break
     by_trace: Dict[int, List] = {tid: [] for tid in wanted}
     if wanted:
-        for span in getattr(tracer, "iter_spans", tracer.finished_spans)():
+        for span in tracer.iter_spans():
             bucket = by_trace.get(span.trace_id)
             if bucket is not None:
                 bucket.append(span)

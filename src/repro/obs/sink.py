@@ -1,8 +1,8 @@
 """Streaming span sinks and deterministic tail-based trace sampling.
 
-The in-memory ``Tracer.spans`` list is the right tool up to a few
-hundred thousand spans; a million-job run drowns it.  This module is
-the scale tier:
+A tracer without a sink keeps every span in memory, which is the right
+tool up to a few hundred thousand spans; a million-job run drowns it.
+This module is the scale tier:
 
 :class:`SpanSink` implementations
     Receive finished spans one at a time as the tracer's resident ring

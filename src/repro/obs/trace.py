@@ -5,10 +5,16 @@ A :class:`Tracer` produces nested, causally linked :class:`Span` records
 carries a ``trace_id`` (the root span's id), its own ``span_id``, its
 ``parent_id``, free-form attributes, point-in-time events, and *links*
 to spans in other causal chains (e.g. the transfer that unblocked this
-one).  Exporters (:mod:`repro.obs.export`) turn the span list into a
+one).  Exporters (:mod:`repro.obs.export`) turn the spans into a
 Perfetto-loadable Chrome trace or a structured JSONL log;
 :mod:`repro.obs.critical_path` walks the causality to attribute
 end-to-end time.
+
+Every span takes one path through the tracer: it is held in memory from
+start, its trace's keep/drop decision is made when the root finishes,
+and kept spans enter a resident ring that overflows, oldest first, into
+an optional sink.  With no sink and no sampler the ring is unbounded and
+nothing is dropped, so every span stays in memory in start order.
 
 Design constraints, both load-bearing:
 
@@ -26,17 +32,9 @@ Design constraints, both load-bearing:
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
-
-
-class SpanContext(NamedTuple):
-    """The propagatable identity of a span (what crosses process
-    boundaries when the span object itself should not)."""
-
-    trace_id: Optional[int]
-    span_id: Optional[int]
-    track: Optional[str] = None
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class Span:
@@ -50,13 +48,12 @@ class Span:
                  "name", "track", "start", "end_time", "status",
                  "attributes", "events", "links")
 
-    def __init__(self, sim, trace_id: int, span_id: int,
+    def __init__(self, tracer: "Tracer", trace_id: int, span_id: int,
                  parent_id: Optional[int], name: str, track: str,
                  attributes: Dict[str, Any]):
-        self._sim = sim
-        #: Set by a *streaming* tracer so end() can hand the finished
-        #: span to the sink pipeline; None on the classic path.
-        self._tracer = None
+        sim = self._sim = tracer.sim
+        #: The tracer whose pipeline end() hands the finished span to.
+        self._tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -74,10 +71,6 @@ class Span:
         self.links: List[int] = []
 
     # -- identity ------------------------------------------------------
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id, self.track)
 
     @property
     def finished(self) -> bool:
@@ -102,8 +95,8 @@ class Span:
         return self
 
     def link(self, other) -> "Span":
-        """Link a causally related span (or its context) from another
-        chain — rendered as a flow arrow in Perfetto."""
+        """Link a causally related span from another chain — rendered
+        as a flow arrow in Perfetto."""
         span_id = getattr(other, "span_id", None)
         if span_id is not None:
             self.links.append(span_id)
@@ -116,8 +109,7 @@ class Span:
             self.end_time = self._sim._now
             if status is not None:
                 self.status = status
-            if self._tracer is not None:
-                self._tracer._on_span_end(self)
+            self._tracer._on_span_end(self)
         return self
 
     def end_on(self, event, status: str = "ok",
@@ -166,7 +158,6 @@ class _NullSpan:
     events: Tuple = ()
     links: Tuple = ()
     finished = False
-    context = SpanContext(None, None, None)
 
     def set(self, **attributes):
         return self
@@ -201,15 +192,15 @@ NULL_SPAN = _NullSpan()
 
 
 class _TraceBuffer:
-    """Per-trace working set of a streaming tracer: spans still open,
-    spans finished but awaiting the root's keep/drop decision, and the
-    decision itself once made."""
+    """Per-trace state while a trace has children: how many of them
+    are still open, spans finished before the root's keep/drop
+    decision, and the decision itself once made.  A trace whose root
+    never gets a child needs none."""
 
-    __slots__ = ("open_spans", "finished", "decision")
+    __slots__ = ("open", "finished", "decision")
 
     def __init__(self):
-        #: span_id -> span, in start order (O(1) removal on end).
-        self.open_spans: Dict[int, Span] = {}
+        self.open = 0
         self.finished: List[Span] = []
         self.decision: Optional[bool] = None
 
@@ -217,19 +208,19 @@ class _TraceBuffer:
 class Tracer:
     """Factory and registry of spans for one simulation.
 
-    Two modes:
+    Every span is held in memory from :meth:`start`.  Spans are
+    buffered per trace until their root finishes; the ``sampler`` (if
+    any) then keeps or drops the *whole trace* — deterministic, so
+    links inside a trace never dangle — and kept spans enter a resident
+    ring of at most ``max_resident`` finished spans whose overflow is
+    archived, oldest first, to the ``sink``.  With a sink, peak memory
+    is O(max_resident + open spans), not O(run).
 
-    * **Classic** (default): every span lives in :attr:`spans` for the
-      whole run — simple, random-access, O(run) memory.
-    * **Streaming** (any of ``sink`` / ``sampler`` given): spans are
-      buffered per trace until their root finishes, the ``sampler``
-      (if any) then keeps or drops the *whole trace* — deterministic,
-      so links inside a trace never dangle — and kept spans enter a
-      resident ring of at most ``max_resident`` finished spans whose
-      overflow is archived to the ``sink``.  Peak memory is
-      O(max_resident + open spans), not O(run).  Consumers iterate
-      :meth:`iter_spans` (archive + resident + pending + open);
-      :attr:`spans` still works but materializes the archive.
+    With no sink and no sampler nothing is dropped or archived: every
+    span ever started stays in memory, and :attr:`spans` lists them in
+    start order.  Consumers iterate :meth:`iter_spans` (archive, then
+    in-memory spans in start order); :attr:`spans` is a snapshot list
+    of the same and materializes the archive.
     """
 
     #: Real tracers record; instrumentation may branch on this to skip
@@ -244,9 +235,6 @@ class Tracer:
                  max_resident: Optional[int] = None):
         self.sim = sim
         self._ids = itertools.count(seed)
-        #: Every retained span (classic mode: every span ever started,
-        #: in creation order; streaming mode: unused — see _resident).
-        self._spans: List[Span] = []
         self.sink = sink
         self.sampler = sampler
         if max_resident is not None:
@@ -258,8 +246,13 @@ class Tracer:
         elif sink is not None:
             max_resident = self.DEFAULT_MAX_RESIDENT
         self.max_resident = max_resident
-        self._streaming = sink is not None or sampler is not None
-        #: Finished, retained spans not yet archived (newest last).
+        #: Without a sink the ring never overflows.
+        self._ring_cap = sys.maxsize if sink is None else max_resident
+        #: span_id -> every span held in memory (open, awaiting its
+        #: trace's decision, or kept and not yet archived), in start
+        #: order.
+        self._live: Dict[int, Span] = {}
+        #: Finished, kept spans not yet archived (newest last).
         self._resident: deque = deque()
         self._by_trace: Dict[int, _TraceBuffer] = {}
         self.started = 0
@@ -277,11 +270,10 @@ class Tracer:
               links=(), **attributes) -> Span:
         """Open a span.
 
-        ``parent`` is a :class:`Span`, :class:`SpanContext`, or None
-        (``NULL_SPAN`` counts as None, so instrumentation can pass
-        whatever it was handed).  ``track`` names the horizontal lane
-        the span renders on; children inherit their parent's lane by
-        default.
+        ``parent`` is a :class:`Span` or None (``NULL_SPAN`` counts as
+        None, so instrumentation can pass whatever it was handed).
+        ``track`` names the horizontal lane the span renders on;
+        children inherit their parent's lane by default.
         """
         parent_id = getattr(parent, "span_id", None)
         span_id = next(self._ids)
@@ -291,63 +283,73 @@ class Tracer:
             trace_id = parent.trace_id
             if track is None:
                 track = getattr(parent, "track", None)
-        span = Span(self.sim, trace_id, span_id, parent_id, name,
+            buf = self._by_trace.get(trace_id)
+            if buf is None:
+                buf = self._by_trace[trace_id] = _TraceBuffer()
+            buf.open += 1
+        span = Span(self, trace_id, span_id, parent_id, name,
                     track if track is not None else "main",
                     dict(attributes))
         for other in links:
             span.link(other)
         self.started += 1
-        if not self._streaming:
-            self._spans.append(span)
-            return span
-        span._tracer = self
-        buf = self._by_trace.get(trace_id)
-        if buf is None:
-            buf = self._by_trace[trace_id] = _TraceBuffer()
-        buf.open_spans[span_id] = span
+        self._live[span_id] = span
         return span
 
     #: Alias so ``with tracer.span("phase"):`` reads well.
     span = start
 
-    # -- streaming pipeline --------------------------------------------
+    # -- pipeline ------------------------------------------------------
 
     def _on_span_end(self, span: Span) -> None:
-        """A streaming span just finished: move it along the
-        buffer → decision → resident ring → sink pipeline."""
+        """A span just finished: move it along the buffer → decision →
+        resident ring → sink pipeline."""
         buf = self._by_trace.get(span.trace_id)
-        if buf is None:  # trace already fully closed; re-buffer
-            buf = self._by_trace[span.trace_id] = _TraceBuffer()
-        else:
-            buf.open_spans.pop(span.span_id, None)
+        if buf is None:  # a root that never had a child: decide now
+            if self.sampler is None or self.sampler.decide(span, (span,)):
+                self._retain(span)
+            else:
+                self._drop(span)
+                self.dropped_traces += 1
+            return
+        if span.span_id != span.trace_id:
+            buf.open -= 1
         if buf.decision is None:
             buf.finished.append(span)
             if span.span_id == span.trace_id:  # the root: decide now
-                keep = (self.sampler is None
-                        or self.sampler.decide(span, buf.finished))
-                buf.decision = keep
-                if keep:
-                    for finished in buf.finished:
-                        self._retain(finished)
-                else:
-                    self.dropped_spans += len(buf.finished)
+                keep = buf.decision = (
+                    self.sampler is None
+                    or self.sampler.decide(span, buf.finished))
+                settle = self._retain if keep else self._drop
+                for finished in buf.finished:
+                    settle(finished)
+                if not keep:
                     self.dropped_traces += 1
                 buf.finished.clear()
         elif buf.decision:
             self._retain(span)
         else:
-            self.dropped_spans += 1
-        if buf.decision is not None and not buf.open_spans:
+            self._drop(span)
+        if buf.decision is not None and not buf.open:
             del self._by_trace[span.trace_id]
 
     def _retain(self, span: Span) -> None:
-        span._tracer = None  # frozen: no further notifications
-        self._resident.append(span)
-        if self.max_resident is not None:
-            while len(self._resident) > self.max_resident:
-                self.sink.write(self._resident.popleft())
-        if len(self._resident) > self.resident_peak:
-            self.resident_peak = len(self._resident)
+        ring = self._resident
+        ring.append(span)
+        n = len(ring)
+        if n > self._ring_cap:
+            self._archive_oldest()
+        elif n > self.resident_peak:
+            self.resident_peak = n
+
+    def _drop(self, span: Span) -> None:
+        del self._live[span.span_id]
+        self.dropped_spans += 1
+
+    def _archive_oldest(self) -> None:
+        span = self._resident.popleft()
+        del self._live[span.span_id]
+        self.sink.write(span)
 
     def flush(self) -> None:
         """Archive every resident finished span to the sink (e.g. at
@@ -356,57 +358,41 @@ class Tracer:
         if self.sink is None:
             return
         while self._resident:
-            self.sink.write(self._resident.popleft())
+            self._archive_oldest()
         self.sink.flush()
 
     # -- views ---------------------------------------------------------
 
     @property
     def spans(self) -> List[Span]:
-        """Classic mode: the live span list.  Streaming mode: a
-        *materialized* snapshot of :meth:`iter_spans` — fine for tests
-        and small runs, defeats the memory bound on big ones."""
-        if not self._streaming:
-            return self._spans
+        """A snapshot list of :meth:`iter_spans` — fine for tests and
+        small runs, defeats the memory bound of a sink on big ones."""
         return list(self.iter_spans())
 
     def iter_spans(self):
-        """Every retained span, cheapest-first: the sink archive
-        (streamed, oldest traces first), the resident ring, spans of
-        still-undecided traces, then spans still open.  This is the
-        O(buffer) read path exporters and the critical-path analyzer
-        use."""
-        if not self._streaming:
-            yield from self._spans
-            return
+        """Every retained span: the sink archive (streamed, in archive
+        order), then the spans held in memory in start order.  This is
+        the O(buffer) read path exporters and the critical-path
+        analyzer use."""
         if self.sink is not None:
             yield from self.sink.read_back()
-        yield from self._resident
-        for buf in self._by_trace.values():
-            yield from buf.finished
-        for buf in self._by_trace.values():
-            yield from buf.open_spans.values()
+        yield from self._live.values()
 
     def resident_count(self) -> int:
-        """Finished + pending + open spans currently held in memory
-        (streaming mode; classic mode counts the whole list)."""
-        if not self._streaming:
-            return len(self._spans)
-        return len(self._resident) + sum(
-            len(b.finished) + len(b.open_spans)
-            for b in self._by_trace.values())
+        """Spans currently held in memory: kept but not archived,
+        awaiting their trace's decision, or still open."""
+        return len(self._live)
 
     def finished_spans(self) -> List[Span]:
         return [s for s in self.iter_spans() if s.end_time is not None]
 
     def stats(self) -> dict:
-        """Retention accounting (streaming fields are zero in classic
-        mode)."""
+        """Retention accounting.  ``resident_peak`` is the most
+        finished, kept spans the resident ring held at once."""
         return {
             "started": self.started,
             "resident": self.resident_count(),
-            "resident_peak": (self.resident_peak if self._streaming
-                              else len(self._spans)),
+            "resident_peak": self.resident_peak,
             "archived": self.sink.count if self.sink is not None else 0,
             "dropped_spans": self.dropped_spans,
             "dropped_traces": self.dropped_traces,
@@ -437,10 +423,8 @@ class Tracer:
         return critical_path(self.iter_spans(), root=root)
 
     def __repr__(self):
-        if self._streaming:
-            return (f"<Tracer streaming started={self.started} "
-                    f"resident={self.resident_count()}>")
-        return f"<Tracer spans={len(self._spans)}>"
+        return (f"<Tracer started={self.started} "
+                f"resident={self.resident_count()}>")
 
 
 class NullTracer:
@@ -455,6 +439,9 @@ class NullTracer:
         return NULL_SPAN
 
     span = start
+
+    def iter_spans(self):
+        return iter(())
 
     def finished_spans(self):
         return []

@@ -9,12 +9,16 @@ The contracts under test are the ones a million-job run leans on:
 * exports built from a streaming/sampled tracer stay structurally
   valid (Chrome-trace flow links never dangle, speedscope validates);
 * critical-path analysis over the archive (frozen ``SpanRecord``
-  read-back) equals analysis over live spans.
+  read-back) equals analysis over live spans;
+* the tracer's in-memory span index agrees, after every operation,
+  with a shadow model recomputed from the operations alone.
 """
 
 import json
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network.topology import Site, Topology
 from repro.network.flows import FlowScheduler
@@ -321,3 +325,165 @@ def test_late_children_follow_their_trace_decision():
     assert tracer.dropped_spans == 2
     # Decided traces with no open spans are evicted from the buffer.
     assert tracer._by_trace == {}
+
+
+# ---------------------------------------------------------------------------
+# In-memory index vs a shadow model
+# ---------------------------------------------------------------------------
+
+class _RecordingSampler(TraceSampler):
+    """A TraceSampler that remembers each trace's keep/drop decision,
+    so the shadow model can follow it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.decisions = {}
+
+    def decide(self, root, spans):
+        assert root.trace_id not in self.decisions  # once per trace
+        keep = super().decide(root, spans)
+        self.decisions[root.trace_id] = keep
+        return keep
+
+
+class _ShadowTracer:
+    """Reference semantics of the tracer's retention, kept in plain
+    structures.  A trace's spans share one keep/drop decision, made
+    when its root ends; a trace group closes once decided with no span
+    open, and a child started after that joins a new group that is
+    never decided.  Kept spans enter a FIFO ring that overflows into
+    the archive beyond ``cap``."""
+
+    def __init__(self, cap, sampler):
+        self.cap = cap
+        self.sampler = sampler
+        self.started = []
+        self.status = {}
+        self.groups = {}
+        self.ring = deque()
+        self.archive = []
+        self.dropped_traces = 0
+        self.peak = 0
+
+    def start(self, span):
+        self.started.append(span.span_id)
+        self.status[span.span_id] = "open"
+        group = self.groups.get(span.trace_id)
+        if group is None:
+            group = self.groups[span.trace_id] = {
+                "decision": None, "open": set(), "pending": []}
+        group["open"].add(span.span_id)
+
+    def end(self, span):
+        group = self.groups[span.trace_id]
+        group["open"].discard(span.span_id)
+        if group["decision"] is None:
+            group["pending"].append(span.span_id)
+            self.status[span.span_id] = "pending"
+            if span.span_id == span.trace_id:
+                keep = (self.sampler is None
+                        or self.sampler.decisions[span.trace_id])
+                group["decision"] = keep
+                self.dropped_traces += not keep
+                for span_id in group["pending"]:
+                    self._settle(span_id, keep)
+        else:
+            self._settle(span.span_id, group["decision"])
+        if group["decision"] is not None and not group["open"]:
+            del self.groups[span.trace_id]
+
+    def _settle(self, span_id, keep):
+        if not keep:
+            self.status[span_id] = "dropped"
+            return
+        self.status[span_id] = "resident"
+        self.ring.append(span_id)
+        if self.cap is not None and len(self.ring) > self.cap:
+            self._archive_oldest()
+        self.peak = max(self.peak, len(self.ring))
+
+    def _archive_oldest(self):
+        span_id = self.ring.popleft()
+        self.status[span_id] = "archived"
+        self.archive.append(span_id)
+
+    def flush(self):
+        while self.cap is not None and self.ring:
+            self._archive_oldest()
+
+    def in_memory(self):
+        return [i for i in self.started
+                if self.status[i] in ("open", "pending", "resident")]
+
+    def count(self, status):
+        return sum(1 for v in self.status.values() if v == status)
+
+
+#: Operations on spans pick their target counting back from the newest
+#: span, so nesting and ends shortly after starts are common.
+_OPS = st.lists(st.one_of(
+    st.just(("root",)),
+    st.tuples(st.just("child"), st.integers(0, 7)),
+    st.tuples(st.just("end"), st.integers(0, 7), st.booleans()),
+    st.just(("flush",)),
+), max_size=80)
+
+
+def _check_index(tracer, model):
+    stats = tracer.stats()
+    ids = [s.span_id for s in tracer.spans]  # archive, then in memory
+    assert ids[:stats["archived"]] == model.archive
+    assert ids[stats["archived"]:] == model.in_memory()
+    if tracer.sink is None and tracer.sampler is None:
+        assert ids == model.started
+    assert tracer.resident_count() == len(model.in_memory())
+    assert stats["started"] == len(model.started)
+    assert stats["archived"] == len(model.archive)
+    assert stats["dropped_spans"] == model.count("dropped")
+    assert stats["dropped_traces"] == model.dropped_traces
+    assert stats["resident_peak"] == model.peak
+    assert stats["started"] == (stats["archived"] + stats["resident"]
+                                + stats["dropped_spans"])
+
+
+def _replay(tracer, model, ops):
+    sim = tracer.sim
+    spans = []
+    for op in ops:
+        sim._now += 1.0
+        if op[0] == "flush":
+            tracer.flush()
+            model.flush()
+        elif op[0] == "end" and spans:
+            span = spans[-1 - op[1] % len(spans)]
+            if not span.finished:
+                span.end("error" if op[2] else None)
+                model.end(span)
+        else:
+            parent = (spans[-1 - op[1] % len(spans)]
+                      if op[0] == "child" and spans else None)
+            span = tracer.start("op", parent=parent)
+            spans.append(span)
+            model.start(span)
+        _check_index(tracer, model)
+    return spans
+
+
+@given(ops=_OPS)
+@settings(max_examples=300, deadline=None)
+def test_unbounded_index_matches_shadow_model(ops):
+    tracer = Tracer(Simulator())
+    model = _ShadowTracer(cap=None, sampler=None)
+    _replay(tracer, model, ops)
+    assert tracer.dropped_spans == 0
+
+
+@given(ops=_OPS)
+@settings(max_examples=300, deadline=None)
+def test_sampled_sink_index_matches_shadow_model(ops):
+    sampler = _RecordingSampler(keep_fraction=0.5, seed=3,
+                                slow_percentile=None)
+    tracer = Tracer(Simulator(), sink=MemorySpanSink(), sampler=sampler,
+                    max_resident=3)
+    model = _ShadowTracer(cap=3, sampler=sampler)
+    _replay(tracer, model, ops)
