@@ -90,6 +90,7 @@ def run_throughput(n_jobs=N_JOBS):
         "throughput": n_jobs / sim.now,
         "mean_wait": {n: sum(w) / len(w) for n, w in waits.items()},
         "metrics": plane.metrics,
+        "stats": dict(plane.scheduler.stats, **plane.leases.stats),
         "wall_s": time.time() - wall,
     }
 

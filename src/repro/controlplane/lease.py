@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..metrics import MetricsRecorder
 from ..simkernel import Process, Simulator
@@ -86,7 +86,13 @@ class LeaseManager:
         self.federation = federation
         self.metrics = metrics
         self.sweep_interval = sweep_interval
+        #: Every lease ever granted (or re-attached), in grant order.
         self.leases: List[Lease] = []
+        #: The active ones, in grant order (a dict used as an ordered
+        #: set): scans skip every lease that has ended.
+        self._active: Dict[Lease, None] = {}
+        #: Work counter: leases visited by :meth:`active_leases`.
+        self.stats = {"leases_scanned": 0}
         #: Called as ``on_expire(lease)`` after an expired lease's
         #: resources were reclaimed (the scheduler requeues its job).
         self.on_expire: Optional[Callable[[Lease], None]] = None
@@ -118,8 +124,8 @@ class LeaseManager:
             yield self.sim.timeout(self.sweep_interval)
             if not self._running:
                 return
-            for lease in [l for l in self.leases
-                          if l.active and l.remaining <= 0]:
+            for lease in [l for l in self.active_leases()
+                          if l.remaining <= 0]:
                 self._teardown(lease, LeaseState.EXPIRED)
                 self.expired_count += 1
                 if self.metrics is not None:
@@ -139,7 +145,7 @@ class LeaseManager:
         if term <= 0:
             raise ValueError("lease term must be positive")
         lease = Lease(self.sim, tenant, cluster, term, job=job)
-        self.leases.append(lease)
+        self._attach(lease)
         eventlog_of(self.sim).append(
             "lease", lease.id, to=LeaseState.ACTIVE.value, cause="grant",
             tenant=tenant, n=len(cluster.vms), term=term,
@@ -148,6 +154,18 @@ class LeaseManager:
         if self.metrics is not None:
             self.metrics.record("lease.active", len(self.active_leases()))
         return lease
+
+    def reattach(self, lease: Lease) -> None:
+        """Take back an active lease rebuilt from the event log (crash
+        recovery): it joins the index as if granted here, without a
+        grant event — the recovery path commits its own."""
+        if not lease.active:
+            raise LeaseError(f"cannot re-attach {lease!r}")
+        self._attach(lease)
+
+    def _attach(self, lease: Lease) -> None:
+        self.leases.append(lease)
+        self._active[lease] = None
 
     def renew(self, lease: Lease, extra: Optional[float] = None) -> float:
         """Extend an active lease by ``extra`` (default: its original
@@ -194,6 +212,7 @@ class LeaseManager:
         if self.charge is not None and node_seconds > 0:
             self.charge(lease.tenant, node_seconds)
         from .statemachine import transition  # import cycle via enums
+        del self._active[lease]
         transition(lease, final_state,
                    cause=("expiry" if final_state is LeaseState.EXPIRED
                           else "release"),
@@ -202,7 +221,9 @@ class LeaseManager:
     # -- queries ---------------------------------------------------------
 
     def active_leases(self) -> List[Lease]:
-        return [l for l in self.leases if l.active]
+        """Active leases in grant order, read from the index."""
+        self.stats["leases_scanned"] += len(self._active)
+        return list(self._active)
 
     def leaked(self) -> List[Lease]:
         """Leases whose capacity was not returned — ended (or expired by

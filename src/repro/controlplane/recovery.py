@@ -356,7 +356,7 @@ def recover(sim: Simulator, federation, image_name: str,
             lease.id = rec.id
             lease.granted_at = rec.granted_at
             lease.expires_at = rec.expires_at
-            plane.leases.leases.append(lease)
+            plane.leases.reattach(lease)
             log_out.append("lease", rec.id, to=LeaseState.ACTIVE.value,
                            frm=LeaseState.ACTIVE.value, cause="recovery",
                            tenant=rec.tenant, n=len(cluster.vms),

@@ -24,7 +24,7 @@ workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..cloud.provider import Cloud, CloudError, InstanceSpec
 from ..metrics import MetricsRecorder
@@ -63,6 +63,10 @@ class SchedulerConfig:
     #: (covers boot + image propagation) before comparing against the
     #: blocked head's shadow time.
     backfill_slack: float = 30.0
+
+
+#: Score-ordered clouds and each one's free slots, as of one instant.
+PlacementView = Tuple[List[Cloud], Dict[str, int]]
 
 
 class _FixedAllocation:
@@ -109,6 +113,9 @@ class FairShareScheduler:
         self.shrinks = 0
         self.backfills = 0
         self.preemptions = 0
+        #: Work counters: placement probes, and ``Cloud.capacity``
+        #: queries made through :meth:`_available`.
+        self.stats = {"allocate_calls": 0, "capacity_queries": 0}
         self._loop: Optional[Process] = None
         self._running = False
         # Expired leases with a live job come back through the queue.
@@ -159,6 +166,7 @@ class FairShareScheduler:
     # -- placement -------------------------------------------------------
 
     def _available(self, cloud: Cloud) -> int:
+        self.stats["capacity_queries"] += 1
         return max(0, cloud.capacity(self.config.spec)
                    - self._committed[cloud.name])
 
@@ -176,11 +184,26 @@ class FairShareScheduler:
         utilization = used / cores if cores else 1.0
         return self._price(cloud) + self.config.util_weight * utilization
 
-    def _allocate(self, job: Job) -> Optional[Dict[str, int]]:
-        """Pick clouds for ``job`` right now, or None if it must wait."""
-        clouds = sorted(self.federation.clouds.values(),
-                        key=lambda c: (self._score(c), c.name))
-        available = {c.name: self._available(c) for c in clouds}
+    def _ranked_clouds(self) -> List[Cloud]:
+        """Clouds cheapest first by placement score."""
+        return sorted(self.federation.clouds.values(),
+                      key=lambda c: (self._score(c), c.name))
+
+    def _placement_view(self) -> PlacementView:
+        """Score-ordered clouds and their free slots right now.
+
+        Only a dispatch, grow or teardown changes either, so a pass
+        probes every candidate against one view and ends at its first
+        dispatch."""
+        clouds = self._ranked_clouds()
+        return clouds, {c.name: self._available(c) for c in clouds}
+
+    def _allocate(self, job: Job,
+                  view: PlacementView) -> Optional[Dict[str, int]]:
+        """Pick clouds for ``job`` from ``view``, or None if it must
+        wait."""
+        self.stats["allocate_calls"] += 1
+        clouds, available = view
         total = sum(available.values())
         if total < job.min_nodes:
             return None
@@ -217,9 +240,10 @@ class FairShareScheduler:
         while progressed and self.queue.depth() > 0:
             progressed = False
             starved_head: Optional[Job] = None
+            view = self._placement_view()
             for tenant in self._ranked_tenants():
                 job = self.queue.peek(tenant.name)
-                allocation = self._allocate(job)
+                allocation = self._allocate(job, view)
                 if allocation is None:
                     # Capacity-blocked: the most underserved such head
                     # drives preemption and the backfill reservation.
@@ -290,9 +314,14 @@ class FairShareScheduler:
         schedule accumulates its ``min_nodes``.  A smaller queued job
         may start now only if it either finishes (plus slack) before the
         shadow time, or fits in the nodes the head will leave spare —
-        so backfilling never delays the reservation it jumped."""
-        free = sum(self._available(c)
-                   for c in self.federation.clouds.values())
+        so backfilling never delays the reservation it jumped.
+
+        Every candidate is probed against one placement view: nothing
+        changes capacity before the dispatch that ends the pass."""
+        view = self._placement_view()
+        free = sum(view[1].values())
+        if free == 0:
+            return False  # every job needs min_nodes >= 1
         target = head.min_nodes
         shadow = self.sim.now
         pool = free
@@ -310,7 +339,7 @@ class FairShareScheduler:
             for job in self.queue.queued_jobs(tenant.name):
                 if job is head:
                     continue
-                allocation = self._allocate(job)
+                allocation = self._allocate(job, view)
                 if allocation is None:
                     continue
                 k = sum(allocation.values())
@@ -536,9 +565,7 @@ class FairShareScheduler:
                 gap = job.max_nodes - len(lease.cluster.vms)
                 if gap <= 0:
                     continue
-                clouds = sorted(self.federation.clouds.values(),
-                                key=lambda c: (self._score(c), c.name))
-                for cloud in clouds:
+                for cloud in self._ranked_clouds():
                     take = min(gap, self._available(cloud))
                     if take > 0:
                         self._committed[cloud.name] += take
@@ -554,10 +581,8 @@ class FairShareScheduler:
         cluster, cheapest clouds first (generator for the health
         monitor; raises :class:`CloudError` if the federation cannot
         hold the replacements)."""
-        clouds = sorted(self.federation.clouds.values(),
-                        key=lambda c: (self._score(c), c.name))
         remaining = count
-        for cloud in clouds:
+        for cloud in self._ranked_clouds():
             take = min(remaining, self._available(cloud))
             if take <= 0:
                 continue
