@@ -1,28 +1,41 @@
 """FLOW CHURN — incremental vs full max-min allocation.
 
 The federation's WAN carries hundreds of concurrent transfers
-(migration rounds, image propagation, shuffle); every arrival and
-departure used to trigger a *global* progressive-filling recompute,
-O(flows x links) per event.  The incremental allocator settles and
-re-rates only the bottleneck-connected component of each change, so
-churn on one site pair never touches transfers elsewhere.
+(migration rounds, image propagation, shuffle).  A *global*
+progressive-filling recompute on every arrival and departure costs
+O(flows x links) per event; :class:`FlowScheduler` settles and re-rates
+only the bottleneck-connected component of each change, so churn on one
+site pair never touches transfers elsewhere.
 
-This bench drives both modes through an identical seeded storm —
-well over a thousand arrivals/departures with >500 flows in flight at
+This bench drives the scheduler and the whole-network reference
+allocator (``tests/flow_oracle.py``) through an identical seeded storm
+— well over a thousand arrivals/departures with >500 flows in flight at
 the peak — and checks (a) the allocations agree (same completions at
-the same times) and (b) the incremental mode is at least 3x faster.
-Results are exported to ``BENCH_flows.json`` at the repo root.
+the same times) and (b) the incremental allocator is at least 3x
+faster.  Results are exported to ``BENCH_flows.json`` at the repo root.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_flows.py -q
+    PYTHONPATH=src python benchmarks/bench_flows.py
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.network import FlowScheduler, Site, Topology
-from repro.simkernel import Simulator
+# The repo root, so the reference oracle imports as ``tests.flow_oracle``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from _meta import write_payload
-from _tables import fmt, print_table
+from repro.network import FlowScheduler, Site, Topology  # noqa: E402
+from repro.simkernel import Simulator  # noqa: E402
+
+from _meta import write_payload  # noqa: E402
+from _tables import fmt, print_table  # noqa: E402
+from tests.flow_oracle import FullRecomputeScheduler  # noqa: E402
+
+#: Storm side -> allocator: the scheduler and its reference oracle.
+SCHEDULERS = {"incremental": FlowScheduler, "full": FullRecomputeScheduler}
 
 
 N_SITES = 8
@@ -54,7 +67,7 @@ def run_storm(mode, seed=42):
     for i in range(N_SITES):
         for j in range(i + 1, N_SITES):
             topo.connect(f"s{i}", f"s{j}", bandwidth=1e6, latency=0.0)
-    sched = FlowScheduler(sim, topo, mode=mode)
+    sched = SCHEDULERS[mode](sim, topo)
     records = []
     sched.taps.append(records.append)
     peak = 0

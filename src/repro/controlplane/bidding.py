@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs.instruments import _interpolated_percentile
+from ..obs.windows import _interpolated_percentile
 
 
 class BiddingStrategy(ABC):

@@ -239,9 +239,6 @@ class SpotCapacityManager:
         return [b for b in self._backings.values()
                 if b.lease is lease and b.inst.alive]
 
-    def backed_nodes(self, lease: Lease) -> int:
-        return len(self.backings_of(lease))
-
     # -- the grace-window decision ---------------------------------------
 
     def _reclaiming_clouds(self) -> set:

@@ -27,21 +27,24 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
-from .network.flows import FlowScheduler
-from .network.topology import DirectedLink
 from .obs.instruments import (
     Counter,
     Gauge,
     Histogram,
     Instrument,
     Timer,
-    _interpolated_percentile,
     failed_name,
     labeled_name,
 )
+from .obs.windows import _interpolated_percentile
 from .simkernel import Interrupt, Simulator
+
+if TYPE_CHECKING:
+    from .network.flows import FlowScheduler
+    from .network.topology import DirectedLink
 
 
 def recorder_of(sim: Simulator) -> Optional["MetricsRecorder"]:

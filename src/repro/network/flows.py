@@ -3,29 +3,23 @@
 This is the fluid traffic model standing in for the paper's real WAN and
 LAN links.  Every bulk transfer (a migration round, a MapReduce shuffle,
 an image propagation hop) is a :class:`Flow` routed over the
-:class:`~repro.network.topology.Topology`.  Whenever a flow starts or
-finishes, the scheduler recomputes the **max-min fair** allocation via
-progressive filling — the textbook model of how competing TCP streams
-share bottlenecks — and reschedules each flow's completion accordingly.
+:class:`~repro.network.topology.Topology`.  Rates follow the **max-min
+fair** allocation computed by progressive filling — the textbook model
+of how competing TCP streams share bottlenecks — and each flow's
+completion is scheduled from its current rate.
 
-The scheduler runs in one of two modes:
-
-``mode="incremental"`` (default)
-    On every arrival / departure / cancellation / capacity change, only
-    the **bottleneck-connected component** of affected flows (flows
-    sharing a link with the changed flow, transitively) is settled and
-    re-rated.  This is exact, not an approximation: flows outside the
-    component share no link with it, so their water-filling levels are
-    untouched by the change.  Same-timestamp changes are coalesced into
-    one batched recompute scheduled at URGENT priority (it runs before
-    any same-time NORMAL event, so no observer sees a stale allocation),
-    and completion timers are left alone when a flow's rate is unchanged
-    within :data:`EPSILON` — the armed deadline is already exact.
-
-``mode="full"``
-    The reference implementation: settle every active flow, re-run
-    progressive filling over the whole network, re-arm every timer.
-    Kept selectable for differential testing and benchmarking.
+The allocator is incremental.  On every arrival / departure /
+cancellation / capacity change, only the **bottleneck-connected
+component** of affected flows (flows sharing a link with the changed
+flow, transitively) is settled and re-rated.  This is exact, not an
+approximation: flows outside the component share no link with it, so
+their water-filling levels are untouched by the change.  Same-timestamp
+changes are coalesced into one batched recompute scheduled at URGENT
+priority (it runs before any same-time NORMAL event, so no observer sees
+a stale allocation), and completion timers are left alone when a flow's
+rate is unchanged within :data:`EPSILON` — the armed deadline is already
+exact.  The whole-network reference allocator it is checked against
+lives in the test suite (``tests/flow_oracle.py``).
 
 Per-flow rate caps (e.g. a VM NIC, or a deliberately throttled
 migration) are modeled as virtual single-flow links, which integrates
@@ -97,7 +91,7 @@ class Flow:
     __slots__ = (
         "id", "src", "dst", "size", "remaining", "rate", "path", "done",
         "started_at", "finished_at", "rate_cap", "tag", "meta", "weight",
-        "shared_caps", "_last_settled", "_epoch", "_timer", "_armed_rate",
+        "shared_caps", "_last_settled", "_timer", "_armed_rate",
     )
 
     def __init__(self, sim: Simulator, src: str, dst: str, size: float,
@@ -120,7 +114,6 @@ class Flow:
         self.weight = weight
         self.shared_caps = tuple(shared_caps)
         self._last_settled = sim.now
-        self._epoch = 0
         self._timer = None
         self._armed_rate = -1.0  # rate the live timer was armed with
 
@@ -168,33 +161,29 @@ class FlowScheduler:
     ----------
     sim, topology:
         The simulation kernel and network graph.  The scheduler attaches
-        itself to the topology, so :meth:`Topology.set_bandwidth` takes
-        effect without a manual :meth:`rebalance`.
+        itself to the topology, so :meth:`Topology.set_bandwidth` re-rates
+        in-flight flows.
     billing:
         Optional :class:`BillingMeter`; inter-site bytes are accounted
         progressively, so cancelled flows are billed for what they
         actually moved.
-    mode:
-        ``"incremental"`` (default) re-rates only the bottleneck-connected
-        component touched by each change; ``"full"`` is the reference
-        allocator that recomputes the whole network on every event.
+
+    There is one allocator: each change re-rates only the
+    bottleneck-connected component it touches (see the module
+    docstring).  ``tests/flow_oracle.py`` holds the whole-network
+    reference it is checked against.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
-                 billing: Optional[BillingMeter] = None,
-                 mode: str = "incremental"):
-        if mode not in ("incremental", "full"):
-            raise ValueError(f"unknown scheduler mode {mode!r}")
+                 billing: Optional[BillingMeter] = None):
         self.sim = sim
         self.topology = topology
         self.billing = billing
-        self.mode = mode
-        self._incremental = mode == "incremental"
         self._active: Set[Flow] = set()
         #: Callbacks invoked with a :class:`FlowRecord` on flow completion.
         self.taps: List[Callable[[FlowRecord], None]] = []
-        # Incremental-mode state: persistent link -> active flows index,
-        # plus the dirty sets feeding the next batched recompute.
+        # Persistent link -> active flows index, plus the dirty sets
+        # feeding the next batched recompute.
         self._link_flows: Dict[object, Set[Flow]] = {}
         self._dirty_flows: Set[Flow] = set()
         self._dirty_links: Set[object] = set()
@@ -234,59 +223,37 @@ class FlowScheduler:
             self._finish_after_latency(flow, latency)
             return flow
         self._active.add(flow)
-        if self._incremental:
-            self._index(flow)
-            self._mark_dirty(flows=(flow,))
-        else:
-            self._recompute()
+        self._index(flow)
+        self._mark_dirty(flows=(flow,))
         return flow
 
     def transfer(self, src: str, dst: str, size: float, **kwargs) -> Event:
         """Convenience: start a flow and return its completion event."""
         return self.start_flow(src, dst, size, **kwargs).done
 
-    def rebalance(self) -> None:
-        """Re-run the fair-share allocation over *all* flows now.
-
-        Kept as an escape hatch; arrivals, departures and
-        :meth:`Topology.set_bandwidth` all trigger reallocation
-        automatically.
-        """
-        self._recompute()
-
     def links_changed(self, links: Iterable[object]) -> None:
         """Topology notification: the capacity of ``links`` changed."""
-        if self._incremental:
-            affected = [l for l in links if l in self._link_flows]
-            if affected:
-                self._mark_dirty(links=affected)
-        else:
-            self._recompute()
+        affected = [l for l in links if l in self._link_flows]
+        if affected:
+            self._mark_dirty(links=affected)
 
     def cancel(self, flow: Flow) -> None:
         """Abort an in-flight flow; its waiters see :class:`FlowCancelled`."""
         if flow not in self._active:
             return
-        if self._incremental:
-            # Bill the cancelled flow up to this instant; its neighbours
-            # keep their (still valid) rates until the batched recompute.
-            self._settle((flow,))
-        else:
-            self._settle(self._active)
+        # Bill the cancelled flow up to this instant; its neighbours
+        # keep their (still valid) rates until the batched recompute.
+        self._settle((flow,))
         self._active.discard(flow)
-        flow._epoch += 1
         if flow._timer is not None:
             flow._timer.deschedule()
             flow._timer = None
         flow.done.fail(FlowCancelled(f"{flow!r} cancelled"))
         flow.done.defused = True  # cancellation is never a crash
-        if self._incremental:
-            self._unindex(flow)
-            self._mark_dirty(links=self._alloc_links(flow))
-        else:
-            self._recompute()
+        self._unindex(flow)
+        self._mark_dirty(links=self._alloc_links(flow))
 
-    # -- incremental machinery ----------------------------------------------
+    # -- component machinery ------------------------------------------------
 
     def _alloc_links(self, flow: Flow):
         """Shared allocation constraints of ``flow``: its path links plus
@@ -373,17 +340,9 @@ class FlowScheduler:
                     self.billing.record(flow.src, flow.dst, moved)
             flow._last_settled = now
 
-    def _recompute(self) -> None:
-        """Settle, re-run max-min fair allocation, reschedule completions."""
-        self._settle(self._active)
-        self._maxmin_rates(self._active)
-        for flow in sorted(self._active, key=_flow_id):
-            self._schedule_completion(flow)
-
     def _maxmin_rates(self, flows: Iterable[Flow]) -> None:
         """Weighted progressive-filling max-min fair allocation over
-        ``flows`` (the whole network in full mode, one bottleneck
-        component in incremental mode).
+        ``flows`` (one bottleneck-connected component).
 
         All unfrozen flows' rates rise proportionally to their weights;
         when a link saturates, the flows crossing it freeze at the
@@ -450,20 +409,18 @@ class FlowScheduler:
     def _schedule_completion(self, flow: Flow) -> None:
         """(Re)arm the completion timer for ``flow`` at its current rate.
 
-        Incremental mode skips re-arming when the rate is unchanged
-        within EPSILON: the deadline the live timer already carries is
+        Re-arming is skipped when the rate is unchanged within EPSILON:
+        the deadline the live timer already carries is
         ``armed_time + remaining_at_arm/rate == now + remaining_now/rate``
         for an unchanged rate, so descheduling and re-arming would be
         pure heap churn (any sub-EPSILON drift is absorbed by the
         re-check in :meth:`_maybe_complete`).
         """
-        if (self._incremental and flow._timer is not None and flow.rate > 0
+        if (flow._timer is not None and flow.rate > 0
                 and abs(flow.rate - flow._armed_rate)
                 <= EPSILON * max(1.0, flow.rate)):
             self.stats["timers_skipped"] += 1
             return
-        flow._epoch += 1
-        epoch = flow._epoch
         if flow._timer is not None:
             flow._timer.deschedule()
             flow._timer = None
@@ -471,18 +428,16 @@ class FlowScheduler:
             return
         eta = flow.remaining / flow.rate
         flow._timer = self.sim.call_in(
-            eta, lambda _ev: self._maybe_complete(flow, epoch))
+            eta, lambda _ev: self._maybe_complete(flow))
         flow._armed_rate = flow.rate
         self.stats["timers_armed"] += 1
 
-    def _maybe_complete(self, flow: Flow, epoch: int) -> None:
-        if flow._epoch != epoch or flow not in self._active:
-            return  # superseded by a later recompute or cancellation
+    def _maybe_complete(self, flow: Flow) -> None:
+        # Re-arm and cancel deschedule the timer they supersede, and the
+        # kernel never dispatches a descheduled event: a timer that
+        # fires is always the flow's live one.
         flow._timer = None  # this timer has fired; never skip-reuse it
-        if self._incremental:
-            self._settle((flow,))
-        else:
-            self._settle(self._active)
+        self._settle((flow,))
         if flow.remaining > EPSILON * max(1.0, flow.size):
             now = self.sim.now
             if flow.rate <= 0 or now + flow.remaining / flow.rate > now:
@@ -498,11 +453,8 @@ class FlowScheduler:
         self._active.discard(flow)
         latency = sum(l.latency for l in flow.path)
         self._finish_after_latency(flow, latency)
-        if self._incremental:
-            self._unindex(flow)
-            self._mark_dirty(links=self._alloc_links(flow))
-        else:
-            self._recompute()
+        self._unindex(flow)
+        self._mark_dirty(links=self._alloc_links(flow))
 
     def _finish_after_latency(self, flow: Flow, latency: float) -> None:
         def fire(_ev):

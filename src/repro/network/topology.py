@@ -162,9 +162,8 @@ class Topology:
     def set_bandwidth(self, a: str, b: str, bandwidth: float,
                       both_directions: bool = True) -> None:
         """Change a link's capacity at runtime (WAN congestion, QoS
-        re-provisioning).  Attached schedulers are notified, so
-        in-flight flows are re-rated without a manual
-        :meth:`FlowScheduler.rebalance`."""
+        re-provisioning).  Attached schedulers are notified through
+        ``links_changed``, so in-flight flows are re-rated at once."""
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         try:

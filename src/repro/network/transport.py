@@ -38,6 +38,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..metrics import recorder_of
 from ..obs.trace import tracer_of
 from .flows import Flow, FlowRecord, FlowScheduler, SharedCap
 
@@ -272,10 +273,7 @@ class Transport:
         self.bytes_by_class[cls] += record.size
         self.transfers_by_class[cls] += 1
         # Per-class achieved throughput for the watchtower's SLO floors.
-        # The recorder is discovered through the simulator (attribute
-        # lookup, None when no recorder is installed) rather than an
-        # import: repro.metrics imports this package at module level.
-        rec = getattr(self.sim, "_metrics", None)
+        rec = recorder_of(self.sim)
         if rec is not None:
             duration = record.finished_at - record.started_at
             if duration > 0 and record.size > 0:

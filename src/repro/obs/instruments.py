@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .windows import SlidingWindow, _interpolated_percentile
+from .windows import SlidingWindow
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Instrument", "Timer",
     "labeled_name", "split_labeled_name", "failed_name",
-    "_interpolated_percentile",
 ]
 
 Sink = Optional[Callable[[float], None]]
@@ -223,12 +222,6 @@ class Histogram(Instrument):
     @property
     def sum(self) -> float:
         return self._window.sum
-
-    @property
-    def _values(self) -> List[float]:
-        """Retained observations, arrival order (kept for callers that
-        peeked at the old list attribute)."""
-        return self._window.values()
 
     def mean(self) -> float:
         if not self._window.count:

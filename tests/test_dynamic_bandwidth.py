@@ -7,6 +7,7 @@ from repro.hypervisor import Dirtier, LiveMigrator, VirtualMachine
 from repro.network import FlowScheduler, Site, Topology
 from repro.simkernel import Simulator
 from repro.workloads import web_server
+from tests.flow_oracle import FullRecomputeScheduler
 
 
 def build(bw=1e6):
@@ -57,10 +58,11 @@ def test_flow_speeds_up_when_link_recovers():
 
 @pytest.mark.parametrize("mode", ["incremental", "full"])
 def test_rates_update_without_manual_rebalance(mode):
-    """set_bandwidth alone re-rates in-flight flows, in both modes."""
+    """set_bandwidth alone re-rates in-flight flows, in the scheduler
+    and in the whole-network reference allocator alike."""
     sim, topo, sched = build(bw=1e6)
     if mode == "full":
-        sched = FlowScheduler(sim, topo, mode="full")
+        sched = FullRecomputeScheduler(sim, topo)
     flow = sched.start_flow("a", "b", 2e6)
 
     def congestion(sim):

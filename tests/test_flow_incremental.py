@@ -1,11 +1,13 @@
 """Differential tests for the incremental flow allocator.
 
-The incremental mode must be *exact*: re-rating only the
+:class:`FlowScheduler` must be *exact*: re-rating only the
 bottleneck-connected component of each change has to produce the same
-rates (within EPSILON) and the same completion times as the full
-reference allocator, across arbitrary topologies, flow mixes, rate
-caps, cancellations and runtime capacity changes.  A same-seed run must
-also be bit-for-bit deterministic.
+rates (within EPSILON), the same completion times and the same billed
+bytes as the whole-network reference allocator in
+``tests/flow_oracle.py``, across arbitrary topologies, link latencies,
+flow mixes, rate caps, shared class caps, zero-size transfers,
+cancellations and runtime capacity changes.  A same-seed run must also
+be bit-for-bit deterministic.
 """
 
 import numpy as np
@@ -13,15 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import FlowScheduler, SharedCap, Site, Topology
+from repro.network import (
+    BillingMeter,
+    FlowScheduler,
+    SharedCap,
+    Site,
+    Topology,
+)
 from repro.simkernel import Simulator
+from tests.flow_oracle import FullRecomputeScheduler
+
+#: Scenario side -> allocator: the scheduler under test and the oracle.
+SCHEDULERS = {"incremental": FlowScheduler, "full": FullRecomputeScheduler}
 
 #: Snapshot offset after each scenario event: an "odd" float so sampling
 #: instants never coincide with analytically nice completion times.
 SNAP_DELAY = 5.41e-5
 
 
-def build_topology(n_sites, bandwidths):
+def build_topology(n_sites, bandwidths, latencies=(0.0,)):
     topo = Topology()
     for i in range(n_sites):
         topo.add_site(Site(f"s{i}", lan_bandwidth=1e9))
@@ -29,20 +41,25 @@ def build_topology(n_sites, bandwidths):
     for k, (i, j) in enumerate(pairs):
         topo.connect(f"s{i}", f"s{j}",
                      bandwidth=bandwidths[k % len(bandwidths)],
-                     latency=0.0)
+                     latency=latencies[k % len(latencies)])
     return topo, pairs
 
 
-def run_scenario(mode, n_sites, bandwidths, events):
-    """Replay ``events`` under one scheduler mode.
+def run_scenario(mode, n_sites, bandwidths, events, latencies=(0.0,),
+                 cap_bandwidths=(), billing=None):
+    """Replay ``events`` on the ``SCHEDULERS[mode]`` allocator.
 
-    Returns (completion records, post-event rate snapshots); flows are
-    identified by their scenario index (flow ids are a global counter
-    and differ between runs).
+    ``cap_bandwidths`` builds one :class:`SharedCap` each; a start
+    event's ``caps`` lists the indices it joins.  Returns (completion
+    records, post-event rate snapshots); flows are identified by their
+    scenario index (flow ids are a global counter and differ between
+    runs).
     """
     sim = Simulator()
-    topo, pairs = build_topology(n_sites, bandwidths)
-    sched = FlowScheduler(sim, topo, mode=mode)
+    topo, pairs = build_topology(n_sites, bandwidths, latencies)
+    sched = SCHEDULERS[mode](sim, topo, billing=billing)
+    caps = [SharedCap(f"class:{k}", bw)
+            for k, bw in enumerate(cap_bandwidths)]
     records = []
     sched.taps.append(records.append)
     flows = []
@@ -54,9 +71,12 @@ def run_scenario(mode, n_sites, bandwidths, events):
             if ev["kind"] == "start":
                 src = f"s{ev['src'] % n_sites}"
                 dst = f"s{ev['dst'] % n_sites}"
+                joined = tuple(caps[k] for k in ev.get("caps", ())
+                               if k < len(caps))
                 flows.append(sched.start_flow(
                     src, dst, ev["size"], rate_cap=ev["cap"],
-                    weight=ev["weight"], idx=len(flows),
+                    weight=ev["weight"], shared_caps=joined,
+                    idx=len(flows),
                 ))
             elif ev["kind"] == "cancel":
                 if flows:
@@ -75,12 +95,12 @@ def run_scenario(mode, n_sites, bandwidths, events):
 def snapshot(sim, sched):
     """Instantaneous {idx: (rate, remaining)} over the active flows.
 
-    ``flow.remaining`` is a *settled* counter: full mode settles every
-    flow on every event while incremental mode settles lazily, so the
-    raw counters legitimately differ — the instantaneous value is
+    ``flow.remaining`` is a *settled* counter: the oracle settles every
+    flow on every event while the incremental allocator settles lazily,
+    so the raw counters legitimately differ — the instantaneous value is
     ``remaining - rate * (now - last_settled)``.  Flows at exactly their
     completion instant are skipped: completion is a same-timestamp tie
-    the two modes may process a zero-duration tick apart.
+    the two allocators may process a zero-duration tick apart.
     """
     snap = {}
     for f in sched.active_flows:
@@ -100,11 +120,16 @@ _start = st.fixed_dictionaries({
     "delay": st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
     "src": st.integers(0, 5),
     "dst": st.integers(0, 5),
-    "size": st.floats(1e3, 1e7, allow_nan=False, allow_infinity=False),
+    # One start in four moves no bytes (completes after latency alone).
+    "size": st.integers(0, 3).flatmap(
+        lambda k: st.just(0.0) if k == 0 else
+        st.floats(1e3, 1e7, allow_nan=False, allow_infinity=False)),
     "cap": st.one_of(st.none(),
                      st.floats(5e4, 5e6, allow_nan=False,
                                allow_infinity=False)),
     "weight": st.sampled_from([0.5, 1.0, 1.0, 2.0]),
+    # Indices of the SharedCaps this flow joins (none, one or two).
+    "caps": st.sampled_from([(), (0,), (1,), (0, 1)]),
 })
 _cancel = st.fixed_dictionaries({
     "kind": st.just("cancel"),
@@ -119,19 +144,32 @@ _bandwidth = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     n_sites=st.integers(2, 4),
     bandwidths=st.lists(
         st.floats(1e5, 1e7, allow_nan=False, allow_infinity=False),
         min_size=1, max_size=6),
+    latencies=st.lists(
+        st.floats(0.0, 0.05, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=6),
+    cap_bandwidths=st.lists(
+        st.floats(1e5, 5e6, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=2),
+    # At least four events: with fewer, most scenarios never hold two
+    # flows at once and the comparison checks next to nothing.
     events=st.lists(st.one_of(_start, _cancel, _bandwidth),
-                    min_size=1, max_size=14),
+                    min_size=4, max_size=14),
 )
-def test_incremental_matches_full(n_sites, bandwidths, events):
+def test_incremental_matches_full(n_sites, bandwidths, latencies,
+                                  cap_bandwidths, events):
+    bill_inc, bill_full = BillingMeter(), BillingMeter()
     rec_inc, snap_inc = run_scenario("incremental", n_sites, bandwidths,
-                                     events)
-    rec_full, snap_full = run_scenario("full", n_sites, bandwidths, events)
+                                     events, latencies, cap_bandwidths,
+                                     bill_inc)
+    rec_full, snap_full = run_scenario("full", n_sites, bandwidths, events,
+                                       latencies, cap_bandwidths,
+                                       bill_full)
 
     # Same completions at the same times.
     assert len(rec_inc) == len(rec_full)
@@ -149,6 +187,11 @@ def test_incremental_matches_full(n_sites, bandwidths, events):
             rate_b, rem_b = sb[idx]
             assert rate_a == pytest.approx(rate_b, rel=1e-9, abs=1e-9)
             assert rem_a == pytest.approx(rem_b, rel=1e-6, abs=1e-3)
+
+    # Same inter-site bytes billed per site pair.
+    assert sorted(bill_inc.pair_bytes) == sorted(bill_full.pair_bytes)
+    for pair, billed in bill_inc.pair_bytes.items():
+        assert billed == pytest.approx(bill_full.pair_bytes[pair], rel=1e-9)
 
 
 def _seeded_events(seed, n=40):
@@ -193,7 +236,7 @@ def test_same_seed_identical_flow_records(mode):
     assert snap1 == snap2  # exact rate trajectories
 
 
-# -- targeted incremental-mode behaviour ---------------------------------
+# -- targeted incremental-allocator behaviour ----------------------------
 
 
 def two_site():
@@ -295,8 +338,10 @@ def test_shared_cap_limits_aggregate_rate_across_disjoint_paths():
 
 
 def test_full_mode_rejects_unknown_mode():
+    """The allocator has one path: ``mode=`` is no longer a parameter."""
     sim = Simulator()
     topo = Topology()
     topo.add_site(Site("a"))
-    with pytest.raises(ValueError):
-        FlowScheduler(sim, topo, mode="adaptive")
+    for mode in ("adaptive", "full", "incremental"):
+        with pytest.raises(TypeError):
+            FlowScheduler(sim, topo, mode=mode)

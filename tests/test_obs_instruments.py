@@ -126,7 +126,7 @@ def test_histogram_percentile_uses_sorted_shadow():
     # the exact pattern that re-sorting hid and a stale cache breaks.
     import random
 
-    from repro.obs.instruments import _interpolated_percentile
+    from repro.obs.windows import _interpolated_percentile
 
     rng = random.Random(3)
     h = Histogram("lat")
